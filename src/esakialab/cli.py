@@ -171,7 +171,10 @@ def _cmd_validate(args) -> tuple[int, str]:
         raise UsageError(f"bad formula: {exc}") from exc
     if args.team is not None:
         mode = f"team k={args.team}"
-        ok = team_valid(f, args.team, force=args.force)
+        try:
+            ok = team_valid(f, args.team, force=args.force)
+        except ValueError as exc:  # more atoms than k
+            raise UsageError(str(exc)) from exc
     elif args.dna:
         mode = "dna"
         ok = is_dna_valid(H, f, force=args.force)

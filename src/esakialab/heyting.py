@@ -57,7 +57,7 @@ class FiniteHeytingAlgebra:
         self.base = base
         self.elements: tuple[int, ...] = tuple(sorted(base.upsets(), key=_mask_key))
         self._index = {u: i for i, u in enumerate(self.elements)}
-        self._imp_memo: dict[tuple[int, int], int] = {}
+        self._imp_memo: dict[int, dict[int, int]] = {}
         self._regulars: tuple[int, ...] | None = None
         self._tensor_ok: bool | None = None
         self._tensor_memo: dict[tuple[int, int], int] = {}
@@ -94,11 +94,15 @@ class FiniteHeytingAlgebra:
         return u | v
 
     def imp(self, u: int, v: int) -> int:
-        key = (u, v)
-        got = self._imp_memo.get(key)
+        # one memo row per u, holding the canonical element objects, keeps
+        # the full table of a large algebra free of per-pair key tuples
+        row = self._imp_memo.get(u)
+        if row is None:
+            row = self._imp_memo[u] = {}
+        got = row.get(v)
         if got is None:
-            got = self.top & ~downset_closure(self.base, u & ~v)
-            self._imp_memo[key] = got
+            got = self.elements[self.index(self.top & ~downset_closure(self.base, u & ~v))]
+            row[v] = got
         return got
 
     def neg(self, u: int) -> int:

@@ -10,7 +10,8 @@ verifies from both ends.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .heyting import (
     FiniteHeytingAlgebra,
@@ -20,6 +21,9 @@ from .heyting import (
     is_leq,
 )
 from .logic import (
+    OP_ATOM,
+    OP_BOT,
+    OP_TOP,
     And,
     Bot,
     Formula,
@@ -29,9 +33,10 @@ from .logic import (
     SweepGuardError,
     atoms,
     big_and,
-    eval_algebra,
+    compile_formulas,
     format_formula,
     sweep_limit,
+    sweep_nodes,
 )
 from .poset_core import FinitePoset
 from .regularity import is_regular_structural, is_strongly_regular
@@ -39,6 +44,24 @@ from .regularity import is_regular_structural, is_strongly_regular
 # Negative-valuation sweeps cost |B-core|^len(atoms); four atoms keeps the
 # worst case at 16^4 per component without pruning.
 MAX_ATOMS = 4
+
+
+class _SearchPlan(NamedTuple):
+    """The refutation sweep's schedule, fixed by the representatives.
+
+    Depth d of the search values the atom order[d] at node atom_node[d];
+    steps[d] are the other nodes of the compiled representatives whose last
+    atom that is, and conjuncts[d] the table equations (kind, node of a,
+    node of b, node of the result) whose three sides become known there.
+    """
+
+    size: int
+    order: tuple[str, ...]
+    atom_node: tuple[int, ...]
+    steps: tuple[list[tuple[int, int, int, int]], ...]
+    conjuncts: tuple[list[tuple[int, int, int, int]], ...]
+    bot: tuple[int, int]  # (depth, node) of psi_bot
+    second: tuple[int, int]  # (depth, node) of psi_s
 
 
 @dataclass(frozen=True)
@@ -55,6 +78,7 @@ class JankovBundle:
     second_greatest: int
     alpha: Formula
     chi: Formula
+    plan: _SearchPlan = field(repr=False, compare=False)
 
     def to_json(self) -> str:
         payload = {
@@ -121,6 +145,42 @@ def jankov_dna_formula(
         second_greatest=s,
         alpha=alpha,
         chi=chi,
+        plan=_search_plan(H, psi, s),
+    )
+
+
+def _search_plan(H: FiniteHeytingAlgebra, psi: dict[int, Formula], s: int) -> _SearchPlan:
+    prog = compile_formulas(psi[x] for x in H.elements)
+    # the atoms of chi are those of the representatives; the atoms of psi_s
+    # come first so the psi_s != top condition prunes early
+    s_names = atoms(psi[s])
+    order = s_names + tuple(sorted(set(prog.names) - set(s_names)))
+    rank = {n: i for i, n in enumerate(order)}
+    root = dict(zip(H.elements, prog.roots))
+    level: list[int] = []
+    atom_node = [0] * len(order)
+    steps: list[list[tuple[int, int, int, int]]] = [[] for _ in order]
+    for i, (op, a, b) in enumerate(prog.nodes):
+        if op == OP_ATOM:
+            level.append(rank[prog.names[a]])
+            atom_node[level[i]] = i
+            continue
+        level.append(0 if op in (OP_BOT, OP_TOP) else max(level[a], level[b]))
+        steps[level[i]].append((i, op, a, b))
+    conjuncts: list[list[tuple[int, int, int, int]]] = [[] for _ in order]
+    for kind, fn in enumerate((H.meet, H.join, H.imp)):
+        for a in H.elements:
+            for b in H.elements:
+                ra, rb, rc = root[a], root[b], root[fn(a, b)]
+                conjuncts[max(level[ra], level[rb], level[rc])].append((kind, ra, rb, rc))
+    return _SearchPlan(
+        size=len(prog.nodes),
+        order=order,
+        atom_node=tuple(atom_node),
+        steps=tuple(steps),
+        conjuncts=tuple(conjuncts),
+        bot=(level[root[H.bot]], root[H.bot]),
+        second=(level[root[s]], root[s]),
     )
 
 
@@ -132,41 +192,19 @@ def _refuted_at_root(
     K must be the algebra of a rooted poset.  A biconditional contains the
     root iff its two sides agree on the whole frame, so every alpha conjunct
     becomes an exact equation and a branch dies on the first failed one.
-    Atoms of psi_s come first so the psi_s != top condition prunes early.
+    The schedule comes from the bundle's plan.
     """
-    H = bundle.source
-    psi = bundle.representatives
-    s = bundle.second_greatest
-    s_names = list(atoms(psi[s]))
-    seen = set(s_names)
-    order = s_names + [n for n in atoms(bundle.chi) if n not in seen]
-    pos = {n: i for i, n in enumerate(order)}
-    lvl = {x: max(pos[n] for n in atoms(psi[x])) for x in H.elements}
-
-    elems_at: list[list[int]] = [[] for _ in order]
-    for x in H.elements:
-        elems_at[lvl[x]].append(x)
-    # conjunct = (kind, a, b, table result); kind indexes meet/join/imp
-    conj_at: list[list[tuple[int, int, int, int]]] = [[] for _ in order]
-    source_ops = (H.meet, H.join, H.imp)
-    for kind, fn in enumerate(source_ops):
-        for a in H.elements:
-            for b in H.elements:
-                c = fn(a, b)
-                conj_at[max(lvl[a], lvl[b], lvl[c])].append((kind, a, b, c))
+    plan = bundle.plan
+    values = [0] * plan.size
     target_ops = (K.meet, K.join, K.imp)
-    bot_lvl = lvl[H.bot]
-    s_lvl = lvl[s]
+    bot_lvl, bot_node = plan.bot
+    s_lvl, s_node = plan.second
     limit = sweep_limit()
 
-    mu: dict[str, int] = {}
-    vmap: dict[int, int] = {}
-
     def rec(depth: int) -> bool:
-        if depth == len(order):
+        if depth == len(plan.order):
             return True
-        name = order[depth]
-        ready = elems_at[depth]
+        atom, steps, conjuncts = plan.atom_node[depth], plan.steps[depth], plan.conjuncts[depth]
         for value in K.regulars:
             budget[0] += 1
             if budget[0] > limit and not force:
@@ -174,22 +212,18 @@ def _refuted_at_root(
                     f"refutation sweep exceeded {limit} nodes; "
                     "pass force=True to continue"
                 )
-            mu[name] = value
-            for x in ready:
-                vmap[x] = eval_algebra(K, mu, psi[x])
-            ok = not (depth == s_lvl and vmap[s] == K.top)
-            if ok and depth == bot_lvl and vmap[H.bot] != K.bot:
+            values[atom] = value
+            sweep_nodes(K, steps, values)
+            ok = not (depth == s_lvl and values[s_node] == K.top)
+            if ok and depth == bot_lvl and values[bot_node] != K.bot:
                 ok = False
             if ok:
-                for kind, a, b, c in conj_at[depth]:
-                    if target_ops[kind](vmap[a], vmap[b]) != vmap[c]:
+                for kind, a, b, c in conjuncts:
+                    if target_ops[kind](values[a], values[b]) != values[c]:
                         ok = False
                         break
             if ok and rec(depth + 1):
                 return True
-        for x in ready:
-            vmap.pop(x, None)
-        mu.pop(name, None)
         return False
 
     return rec(0)

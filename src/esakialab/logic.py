@@ -12,8 +12,9 @@ import os
 import random
 import re
 from dataclasses import dataclass
+from functools import cache, reduce
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class FormulaSyntaxError(ValueError):
@@ -31,46 +32,50 @@ class SweepGuardError(RuntimeError):
 
 
 def sweep_limit() -> int:
-    return int(os.environ.get("ESAKIA_MAX_SWEEP", 10_000_000))
+    raw = os.environ.get("ESAKIA_MAX_SWEEP", "10000000")
+    try:
+        return int(raw)
+    except ValueError:
+        raise SweepGuardError(f"ESAKIA_MAX_SWEEP must be an integer, got {raw!r}") from None
 
 
 # -- abstract syntax -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bot:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Top:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tensor:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     left: "Formula"
     right: "Formula"
@@ -88,56 +93,37 @@ def Iff(a: Formula, b: Formula) -> And:
     return And(Implies(a, b), Implies(b, a))
 
 
-def atoms(f: Formula) -> tuple[str, ...]:
-    """Atom names occurring in f, sorted."""
-    seen: set[str] = set()
+def _walk(f: Formula) -> Iterator[Formula]:
+    """Every node of the tree of f, once per occurrence."""
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, Atom):
-            seen.add(g.name)
-        elif isinstance(g, _BINARY):
+        yield g
+        if isinstance(g, _BINARY):
             stack += [g.left, g.right]
-    return tuple(sorted(seen))
+
+
+def atoms(f: Formula) -> tuple[str, ...]:
+    """Atom names occurring in f, sorted."""
+    return tuple(sorted({g.name for g in _walk(f) if isinstance(g, Atom)}))
 
 
 def formula_size(f: Formula) -> int:
     """Number of AST nodes."""
-    total = 0
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        total += 1
-        if isinstance(g, _BINARY):
-            stack += [g.left, g.right]
-    return total
+    return sum(1 for _ in _walk(f))
 
 
 def has_tensor(f: Formula) -> bool:
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Tensor):
-            return True
-        if isinstance(g, _BINARY):
-            stack += [g.left, g.right]
-    return False
+    return any(isinstance(g, Tensor) for g in _walk(f))
 
 
 def is_standard(f: Formula) -> bool:
     """True iff f contains no disjunction node."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Or):
-            return False
-        if isinstance(g, _BINARY):
-            stack += [g.left, g.right]
-    return True
+    return not any(isinstance(g, Or) for g in _walk(f))
 
 
 def _balanced(parts: Sequence[Formula], node) -> Formula:
-    # balanced fold keeps evaluation recursion logarithmic in len(parts)
+    # balanced fold keeps the tree's depth logarithmic in len(parts)
     if len(parts) == 1:
         return parts[0]
     mid = len(parts) // 2
@@ -267,7 +253,11 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise FormulaSyntaxError("formula nested too deeply", parser.peek()[2]) from None
 
 
 _PREC_IMPLIES, _PREC_OR, _PREC_TENSOR, _PREC_AND, _PREC_NEG = 2, 3, 4, 5, 6
@@ -299,6 +289,54 @@ def format_formula(f: Formula) -> str:
     return _fmt(f, 0)
 
 
+# -- compiled formulas -------------------------------------------------------
+
+# Node opcodes; the binary ones come last. A node is (op, left, right): an atom's
+# left is its name's index in Program.names, a binary node's are operand nodes.
+_OPS = dict(zip((Atom, Bot, Top, And, Or, Implies, Tensor), range(7)))
+OP_ATOM, OP_BOT, OP_TOP, OP_AND, OP_OR, OP_IMP, OP_TENSOR = _OPS.values()
+
+
+class Program(NamedTuple):
+    """Formulas compiled into one hash-consed node table in post-order."""
+
+    nodes: list[tuple[int, int, int]]
+    names: list[str]
+    roots: list[int]
+
+
+def compile_formulas(formulas: Iterable[Formula]) -> Program:
+    """Compile formulas into one table; equal subformulas share one node.
+
+    The walk is iterative and memoizes by object identity, and hash-consing
+    keys on int triples, so no formula is ever hashed or compared.
+    """
+    nodes: list[tuple[int, int, int]] = []
+    names: dict[str, int] = {}
+    index: dict[tuple[int, int, int], int] = {}
+    done: dict[int, int] = {}  # id(subformula) -> node
+    roots = []
+    for f in formulas:
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            op = _OPS[type(g)]
+            if op >= OP_AND:
+                key = (op, done.get(id(g.left), -1), done.get(id(g.right), -1))
+                if key[1] < 0 or key[2] < 0:
+                    stack += [g.right, g.left]
+                    continue
+            else:
+                key = (op, names.setdefault(g.name, len(names)) if op == OP_ATOM else 0, 0)
+            stack.pop()
+            node = index.setdefault(key, len(nodes))
+            if node == len(nodes):
+                nodes.append(key)
+            done[id(g)] = node
+        roots.append(done[id(f)])
+    return Program(nodes, list(names), roots)
+
+
 # -- algebra semantics -----------------------------------------------------
 
 
@@ -317,55 +355,60 @@ class NegativeValuation:
         return self.mapping[name]
 
 
+def sweep_nodes(H, steps, values: list[int]) -> None:
+    """Evaluate steps, non-atom nodes as (node, op, left, right), into values;
+    elements are upset masks, so meet is & and join is |."""
+    imp, tensor = H.imp, H.tensor_op
+    for i, op, a, b in steps:
+        if op == OP_AND:
+            values[i] = values[a] & values[b]
+        elif op == OP_OR:
+            values[i] = values[a] | values[b]
+        elif op == OP_IMP:
+            values[i] = imp(values[a], values[b])
+        elif op == OP_TENSOR:
+            values[i] = tensor(values[a], values[b])
+        else:
+            values[i] = H.bot if op == OP_BOT else H.top
+
+
+def _algebra_values(H, prog: Program, valuations) -> Iterator[int]:
+    """The root's value under each valuation, a sequence indexed like prog.names."""
+    values = [0] * len(prog.nodes)
+    leaves = [(i, a) for i, (op, a, _) in enumerate(prog.nodes) if op == OP_ATOM]
+    steps = [(i, *node) for i, node in enumerate(prog.nodes) if node[0] != OP_ATOM]
+    root = prog.roots[0]
+    for valuation in valuations:
+        for i, a in leaves:
+            values[i] = valuation[a]
+        sweep_nodes(H, steps, values)
+        yield values[root]
+
+
 def eval_algebra(H, mu, f: Formula) -> int:
     """Interpret f in H under the valuation mu (atom name to element)."""
-    # memo keyed by node identity: value-hashing re-walks shared subtrees
-    memo: dict[int, int] = {}
-
-    def rec(g: Formula) -> int:
-        got = memo.get(id(g))
-        if got is not None:
-            return got
-        if isinstance(g, Atom):
-            try:
-                value = mu[g.name]
-            except KeyError:
-                raise UnboundAtomError(g.name) from None
-        elif isinstance(g, Bot):
-            value = H.bot
-        elif isinstance(g, Top):
-            value = H.top
-        elif isinstance(g, And):
-            value = H.meet(rec(g.left), rec(g.right))
-        elif isinstance(g, Or):
-            value = H.join(rec(g.left), rec(g.right))
-        elif isinstance(g, Implies):
-            value = H.imp(rec(g.left), rec(g.right))
-        else:
-            assert isinstance(g, Tensor)
-            value = H.tensor_op(rec(g.left), rec(g.right))
-        memo[id(g)] = value
-        return value
-
-    return rec(f)
+    prog = compile_formulas([f])
+    try:
+        valuation = [mu[name] for name in prog.names]
+    except KeyError as exc:
+        raise UnboundAtomError(exc.args[0]) from None
+    return next(_algebra_values(H, prog, [valuation]))
 
 
-def _guard(count: int, force: bool) -> None:
+def _valid_over(H, prog: Program, domain: Sequence[int], force: bool) -> bool:
+    count = len(domain) ** len(prog.names)
     if not force and count > sweep_limit():
         raise SweepGuardError(
             f"sweep of {count} valuations exceeds the budget of {sweep_limit()}; "
             f"pass force=True or raise ESAKIA_MAX_SWEEP"
         )
+    valuations = product(domain, repeat=len(prog.names))
+    return all(v == H.top for v in _algebra_values(H, prog, valuations))
 
 
 def is_valid(H, f: Formula, force: bool = False) -> bool:
     """True iff f evaluates to 1 under every valuation into H."""
-    names = atoms(f)
-    _guard(len(H.elements) ** len(names), force)
-    for values in product(H.elements, repeat=len(names)):
-        if eval_algebra(H, dict(zip(names, values)), f) != H.top:
-            return False
-    return True
+    return _valid_over(H, compile_formulas([f]), H.elements, force)
 
 
 def is_dna_valid(H, f: Formula, force: bool = False) -> bool:
@@ -374,18 +417,14 @@ def is_dna_valid(H, f: Formula, force: bool = False) -> bool:
     When H exposes component_algebras(), validity is checked on each factor;
     a product algebra validates a formula iff every factor does.
     """
+    prog = compile_formulas([f])
     parts = H.component_algebras() if hasattr(H, "component_algebras") else [H]
-    if len(parts) > 1:
-        return all(is_dna_valid(K, f, force=force) for K in parts)
-    names = atoms(f)
-    _guard(len(H.regulars) ** len(names), force)
-    for values in product(H.regulars, repeat=len(names)):
-        if eval_algebra(H, dict(zip(names, values)), f) != H.top:
-            return False
-    return True
+    return all(_valid_over(K, prog, K.regulars, force) for K in parts)
 
 
 # -- team semantics ---------------------------------------------------------
+
+MAX_TEAM_WORLDS = 16  # a support set over m worlds is an int of 2^m bits
 
 
 @dataclass(frozen=True)
@@ -403,106 +442,84 @@ class Team:
         return cls(tuple(atom_names), frozenset(rows))
 
 
-class _TeamEvaluator:
-    """Support evaluation over subteams of a fixed world set, memoized.
+@cache  # m <= MAX_TEAM_WORLDS
+def _without(m: int) -> tuple[int, ...]:
+    """For each of m worlds w, the set of subteams missing w."""
+    full = (1 << (1 << m)) - 1
+    return tuple(full // ((1 << (2 << w)) - 1) * ((1 << (1 << w)) - 1) for w in range(m))
 
-    Worlds are the 2^k assignments over k atom slots; a team is a bitmask
-    over worlds. The tensor clause searches every pair of subteams whose
-    union is the team, with no shortcut.
+
+def _support(prog: Program, worlds: Sequence[int], slots: Sequence[int]) -> int:
+    """The set of subteams supporting the root: bit s for the subteam s, which
+    holds worlds[w] iff bit w of s is set. Atom a is bit slots[a] of a world.
     """
-
-    def __init__(self, atom_names: Sequence[str]):
-        self.atom_names = tuple(atom_names)
-        k = len(self.atom_names)
-        self.world_count = 1 << k
-        self.atom_worlds = {}
-        for i, name in enumerate(self.atom_names):
-            mask = 0
-            for w in range(self.world_count):
-                if w >> i & 1:
-                    mask |= 1 << w
-            self.atom_worlds[name] = mask
-        self.memo: dict[tuple[Formula, int], bool] = {}
-
-    def supports(self, f: Formula, team: int) -> bool:
-        key = (f, team)
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(f, Atom):
-            try:
-                value = team & ~self.atom_worlds[f.name] == 0
-            except KeyError:
-                raise UnboundAtomError(f.name) from None
-        elif isinstance(f, Bot):
-            value = team == 0
-        elif isinstance(f, Top):
-            value = True
-        elif isinstance(f, And):
-            value = self.supports(f.left, team) and self.supports(f.right, team)
-        elif isinstance(f, Or):
-            value = self.supports(f.left, team) or self.supports(f.right, team)
-        elif isinstance(f, Implies):
-            value = True
-            s = team
-            while True:
-                if self.supports(f.left, s) and not self.supports(f.right, s):
-                    value = False
-                    break
-                if s == 0:
-                    break
-                s = (s - 1) & team
+    m = len(worlds)
+    full, without = (1 << (1 << m)) - 1, _without(m)
+    sets: list[int] = []
+    for op, a, b in prog.nodes:
+        if op == OP_AND:
+            v = sets[a] & sets[b]
+        elif op == OP_OR:
+            v = sets[a] | sets[b]
+        elif op == OP_IMP:  # fails on every superset of a subteam in A and not in B
+            v = sets[a] & ~sets[b]
+            for w in range(m):
+                v |= (v & without[w]) << (1 << w)
+            v ^= full
+        elif op == OP_TENSOR:  # the unions of a subteam in A and one in B
+            v, left = 0, sets[a]
+            while left:
+                t = left.bit_length() - 1
+                left ^= 1 << t
+                image = sets[b]
+                for w in range(m):
+                    if t >> w & 1:
+                        low = image & without[w]
+                        image = image ^ low | low << (1 << w)
+                v |= image
+        elif op == OP_ATOM:
+            v = full
+            for w, row in enumerate(worlds):
+                if not row >> slots[a] & 1:
+                    v &= without[w]
         else:
-            assert isinstance(f, Tensor)
-            value = self._split(f, team)
-        self.memo[key] = value
-        return value
-
-    def _split(self, f: Tensor, team: int) -> bool:
-        s = team
-        while True:
-            if self.supports(f.left, s):
-                rest = team & ~s
-                w = s
-                while True:
-                    if self.supports(f.right, rest | w):
-                        return True
-                    if w == 0:
-                        break
-                    w = (w - 1) & s
-            if s == 0:
-                break
-            s = (s - 1) & team
-        return False
+            v = 1 if op == OP_BOT else full
+        sets.append(v)
+    return sets[prog.roots[0]]
 
 
 def team_eval(t: Team, f: Formula) -> bool:
     """True iff the team supports f."""
-    ev = _TeamEvaluator(t.atoms)
-    mask = 0
-    for row in t.assignments:
-        if not 0 <= row < ev.world_count:
+    rows = sorted(t.assignments)
+    for row in rows:
+        if not 0 <= row < 1 << len(t.atoms):
             raise ValueError(f"assignment {row} out of range for {len(t.atoms)} atoms")
-        mask |= 1 << row
-    return ev.supports(f, mask)
+    if len(rows) > MAX_TEAM_WORLDS:
+        raise SweepGuardError(f"team_eval: {len(rows)} assignments give 2^{len(rows)} "
+                              f"subteams, more than the limit of 2^{MAX_TEAM_WORLDS}")
+    prog = compile_formulas([f])
+    slot = {name: i for i, name in enumerate(t.atoms)}
+    try:
+        slots = [slot[name] for name in prog.names]
+    except KeyError as exc:
+        raise UnboundAtomError(exc.args[0]) from None
+    full_team = (1 << len(rows)) - 1
+    return bool(_support(prog, rows, slots) >> full_team & 1)
 
 
 def team_valid(f: Formula, k: int, force: bool = False) -> bool:
     """True iff every team over the 2^k assignments supports f."""
-    names = atoms(f)
-    if len(names) > k:
-        raise ValueError(f"formula has {len(names)} atoms, more than k={k}")
+    prog = compile_formulas([f])
+    if len(prog.names) > k:
+        raise ValueError(f"formula has {len(prog.names)} atoms, more than k={k}")
     if k > 2 and not force:
         raise SweepGuardError(
             f"exhaustive team sweep is limited to k <= 2 (got {k}); pass force=True"
         )
-    slots = list(names) + [f"_pad{i}" for i in range(k - len(names))]
-    ev = _TeamEvaluator(slots)
-    _guard(1 << (1 << k), force or k <= 3)
-    for team in range(1 << ev.world_count):
-        if not ev.supports(f, team):
-            return False
-    return True
+    if k >= MAX_TEAM_WORLDS.bit_length():  # 2^k worlds
+        raise SweepGuardError(f"team_valid: k={k} gives 2^(2^{k}) teams, "
+                              f"more than the limit of 2^{MAX_TEAM_WORLDS}")
+    return _support(prog, range(1 << k), range(k)) == (1 << (1 << (1 << k))) - 1
 
 
 # -- inquisitive disjunctive normal form ------------------------------------
@@ -529,11 +546,7 @@ def dnf_inquisitive(f: Formula) -> list[Formula]:
         ants, cons = rec(g.left), rec(g.right)
         out = []
         for choice in product(range(len(cons)), repeat=len(ants)):
-            parts = [Implies(a, cons[c]) for a, c in zip(ants, choice)]
-            conj = parts[0]
-            for part in parts[1:]:
-                conj = And(conj, part)
-            out.append(conj)
+            out.append(reduce(And, [Implies(a, cons[c]) for a, c in zip(ants, choice)]))
         return out
 
     return rec(f)
@@ -556,23 +569,14 @@ def axiom_instances(name: str, **params) -> Formula:
             raise ValueError("ND needs k >= 2")
         p = Atom("p")
         negs = [Neg(Atom(f"q{i}")) for i in range(1, k + 1)]
-        disj = negs[0]
-        for g in negs[1:]:
-            disj = Or(disj, g)
-        parts = [Implies(Neg(p), g) for g in negs]
-        out = parts[0]
-        for g in parts[1:]:
-            out = Or(out, g)
-        return Implies(Implies(Neg(p), disj), out)
+        out = reduce(Or, [Implies(Neg(p), g) for g in negs])
+        return Implies(Implies(Neg(p), reduce(Or, negs)), out)
     if name == "dep":
         premises = [Atom(a) for a in params.get("premises", ())]
         target = Atom(params["target"])
         if not premises:
             raise ValueError("dep needs at least one premise atom")
-        ants = [Or(a, Neg(a)) for a in premises]
-        ant = ants[0]
-        for g in ants[1:]:
-            ant = And(ant, g)
+        ant = reduce(And, [Or(a, Neg(a)) for a in premises])
         return Implies(ant, Or(target, Neg(target)))
     raise ValueError(f"unknown axiom name {name!r}")
 
@@ -602,11 +606,7 @@ def enumerate_formulas(
                     for right in rights:
                         bucket.append(op(left, right))
         by_size[size] = bucket
-    out: list[Formula] = []
-    for size in sorted(by_size):
-        if size <= max_size:
-            out.extend(by_size[size])
-    return out
+    return [f for size in sorted(by_size) if size <= max_size for f in by_size[size]]
 
 
 def sample_formulas(

@@ -1,0 +1,86 @@
+"""Literal reference semantics, kept to cross-check the compiled evaluators.
+
+Team support enumerates subteams as the definitions read: an implication
+checks every subteam of the team, a tensor every way of writing the team
+as a union of two subteams. Algebra values recurse through the algebra's
+own operations. Both are slow and meant for small formulas only.
+"""
+from __future__ import annotations
+
+from esakialab.logic import And, Atom, Bot, Implies, Or, Tensor, Top
+
+
+def _subteams(team: int):
+    s = team
+    while True:
+        yield s
+        if s == 0:
+            return
+        s = (s - 1) & team
+
+
+def _supports(f, team: int, atom_worlds: dict[str, int], memo: dict) -> bool:
+    key = (f, team)
+    if key in memo:
+        return memo[key]
+    if isinstance(f, Atom):
+        value = team & ~atom_worlds[f.name] == 0
+    elif isinstance(f, Bot):
+        value = team == 0
+    elif isinstance(f, Top):
+        value = True
+    elif isinstance(f, And):
+        value = _supports(f.left, team, atom_worlds, memo) and _supports(
+            f.right, team, atom_worlds, memo
+        )
+    elif isinstance(f, Or):
+        value = _supports(f.left, team, atom_worlds, memo) or _supports(
+            f.right, team, atom_worlds, memo
+        )
+    elif isinstance(f, Implies):
+        value = all(
+            not _supports(f.left, s, atom_worlds, memo) or _supports(f.right, s, atom_worlds, memo)
+            for s in _subteams(team)
+        )
+    else:
+        assert isinstance(f, Tensor)
+        value = any(
+            _supports(f.left, s, atom_worlds, memo)
+            and _supports(f.right, (team & ~s) | w, atom_worlds, memo)
+            for s in _subteams(team)
+            for w in _subteams(s)
+        )
+    memo[key] = value
+    return value
+
+
+def _atom_worlds(atom_names) -> dict[str, int]:
+    worlds = 1 << len(atom_names)
+    return {
+        name: sum(1 << w for w in range(worlds) if w >> i & 1)
+        for i, name in enumerate(atom_names)
+    }
+
+
+def team_eval(atom_names, rows, f) -> bool:
+    """Support of f by the team of the given assignments over atom_names."""
+    return _supports(f, sum(1 << r for r in set(rows)), _atom_worlds(atom_names), {})
+
+
+def team_valid(f, atom_names, k: int) -> bool:
+    """Support of f by every team over 2^k worlds; atom_names fill the first slots."""
+    slots = list(atom_names) + [f"_pad{i}" for i in range(k - len(atom_names))]
+    worlds, memo = _atom_worlds(slots), {}
+    return all(_supports(f, team, worlds, memo) for team in range(1 << (1 << k)))
+
+
+def eval_algebra(H, mu, f) -> int:
+    """Value of f in H under mu, through H's meet, join, imp and tensor."""
+    if isinstance(f, Atom):
+        return mu[f.name]
+    if isinstance(f, Bot):
+        return H.bot
+    if isinstance(f, Top):
+        return H.top
+    ops = {And: H.meet, Or: H.join, Implies: H.imp, Tensor: H.tensor_op}
+    return ops[type(f)](eval_algebra(H, mu, f.left), eval_algebra(H, mu, f.right))

@@ -152,6 +152,39 @@ def test_validate_guard_and_usage(capsys, written):
     assert code == 2
 
 
+def one_error_line(out: str, err: str) -> bool:
+    return out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_validate_team_with_too_many_atoms(capsys, written):
+    code, out, err = invoke(
+        capsys, "validate", written["C2"], "--formula", "p & q -> r", "--team", "2"
+    )
+    assert code == 2 and one_error_line(out, err)
+    assert "more than k=2" in err
+
+
+def test_validate_malformed_sweep_limit(capsys, written, monkeypatch):
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "lots")
+    code, out, err = invoke(
+        capsys, "validate", written["C2"], "--formula", "~~p -> p", "--dna"
+    )
+    assert code == 2 and one_error_line(out, err)
+    assert "ESAKIA_MAX_SWEEP" in err
+
+
+def test_validate_deep_nesting(capsys, written):
+    code, out, err = invoke(
+        capsys, "validate", written["C2"], "--formula", "~" * 1500 + "p", "--team", "1"
+    )
+    assert code == 2 and one_error_line(out, err)
+    assert "nested too deeply" in err
+    code, out, _ = invoke(
+        capsys, "validate", written["C2"], "--formula", "~" * 900 + "p", "--team", "1"
+    )
+    assert (code, out) == (1, "team k=1: invalid\n")
+
+
 def test_jankov_output(capsys, written):
     code, out, _ = invoke(capsys, "jankov", written["V"])
     assert code == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,7 @@ from esakialab.logic import (
     ml_proxy_formulas,
     parse,
     sample_formulas,
+    sweep_limit,
     team_eval,
     team_valid,
 )
@@ -169,6 +172,33 @@ def test_sweep_guard_trips(c2, monkeypatch):
     assert is_valid(H, f, force=True)
 
 
+def test_malformed_sweep_limit_is_a_guard_error(c2, monkeypatch):
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "lots")
+    with pytest.raises(SweepGuardError, match="ESAKIA_MAX_SWEEP must be an integer, got 'lots'"):
+        sweep_limit()
+    with pytest.raises(SweepGuardError, match="ESAKIA_MAX_SWEEP"):
+        is_dna_valid(dual_algebra(c2), parse("~~p -> p"))
+
+
+def test_deep_negation_chain(c2):
+    f, short = parse("~" * 900 + "p"), parse("~~p")
+    H = dual_algebra(c2)
+    m = 1 << c2.index("m")
+    assert team_valid(f, 1) == team_valid(short, 1)
+    for rows in ([1], [0, 1]):
+        assert team_eval(Team.of(("p",), rows), f) == team_eval(Team.of(("p",), rows), short)
+    assert is_dna_valid(H, f) == is_dna_valid(H, short)
+    assert is_dna_valid(H, Iff(f, short)) and team_valid(Iff(f, short), 1)
+    assert eval_algebra(H, {"p": m}, f) == eval_algebra(H, {"p": m}, short) == H.top
+
+
+def test_parse_rejects_runaway_nesting():
+    with pytest.raises(FormulaSyntaxError, match="formula nested too deeply"):
+        parse("~" * 1500 + "p")
+    with pytest.raises(FormulaSyntaxError, match="formula nested too deeply"):
+        parse("(" * 1500 + "p" + ")" * 1500)
+
+
 # -- team semantics ------------------------------------------------------------
 
 
@@ -207,6 +237,24 @@ def test_team_valid_guards():
         team_valid(parse("p | q | r"), 2)
     with pytest.raises(SweepGuardError):
         team_valid(parse("p"), 3)
+
+
+def test_team_size_guards_refuse_before_allocating():
+    assert team_valid(parse("p -> p"), 4, force=True)
+    wide = Team.of(("p", "q", "r", "s", "t"), range(17))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SweepGuardError, match=r"team_valid: k=5 gives 2\^\(2\^5\) teams"):
+            team_valid(parse("p"), 5, force=True)
+        with pytest.raises(SweepGuardError, match=r"team_valid: k=64 gives 2\^\(2\^64\) teams"):
+            team_valid(parse("p"), 64, force=True)
+        with pytest.raises(SweepGuardError, match=r"team_eval: 17 assignments give 2\^17 subteams"):
+            team_eval(wide, parse("p"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert team_eval(Team.of(wide.atoms, range(16)), parse("p | ~p")) is False
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,0 +1,61 @@
+"""The compiled evaluators against the literal reference semantics."""
+import random
+
+import pytest
+import reference
+from corpus import posets_by_size
+
+from esakialab.heyting import dual_algebra
+from esakialab.logic import (
+    Team,
+    atoms,
+    enumerate_formulas,
+    eval_algebra,
+    sample_formulas,
+    team_eval,
+    team_valid,
+)
+
+# the empty and one-world teams are covered by the random 3-atom teams
+ONE_ATOM_TEAMS = ([1], [0, 1])
+
+
+def test_one_atom_tensor_corpus_matches_reference():
+    corpus = enumerate_formulas(["p"], 7, with_tensor=True)
+    assert len(corpus) == 26823
+    for f in corpus:
+        assert team_valid(f, 1) == reference.team_valid(f, atoms(f), 1), f
+        for rows in ONE_ATOM_TEAMS:
+            assert team_eval(Team.of(("p",), rows), f) == reference.team_eval(("p",), rows, f), (f, rows)
+
+
+@pytest.mark.parametrize("names", [("p", "q"), ("p", "q", "r")])
+def test_tensor_samples_at_k3_match_reference(names):
+    for f in sample_formulas(names, 9, 40, seed=7, with_tensor=True):
+        want = reference.team_valid(f, atoms(f), 3)
+        assert team_valid(f, 3, force=True) == want, f
+
+
+def test_random_three_atom_teams_match_reference():
+    rnd = random.Random(11)
+    names = ("p", "q", "r")
+    for f in sample_formulas(names, 11, 150, seed=3, with_tensor=True):
+        for _ in range(4):
+            rows = [w for w in range(8) if rnd.random() < 0.5]
+            assert team_eval(Team.of(names, rows), f) == reference.team_eval(names, rows, f), (f, rows)
+
+
+def test_eval_algebra_matches_reference_on_small_corpus():
+    rnd = random.Random(5)
+    plain = sample_formulas(["p", "q"], 11, 30, seed=1)
+    tensor = sample_formulas(["p", "q"], 9, 30, seed=2, with_tensor=True)
+    checked = 0
+    for level in posets_by_size(5):
+        for P in level:
+            H = dual_algebra(P)
+            for f in plain + (tensor if H.tensor_defined() else []):
+                for _ in range(3):
+                    mu = {"p": rnd.choice(H.elements), "q": rnd.choice(H.elements)}
+                    assert eval_algebra(H, mu, f) == reference.eval_algebra(H, mu, f), (P, f)
+                    checked += 1
+    assert checked > 87 * 30 * 3
