@@ -2,27 +2,16 @@
 
 Elements are upset bitmasks of a base poset; all equality is bitmask
 equality. Both duality directions, the regular-element Boolean core,
-subalgebra generation with witness terms, and the tensor operation live
-here.
+subalgebra generation, and the tensor operation live here.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from operator import and_, or_
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .logic import (
-    And,
-    Atom,
-    Bot,
-    Formula,
-    Implies,
-    Or,
-    Top,
-    is_dna_valid,
-    is_valid,
-    ml_proxy_formulas,
-)
+from .logic import is_dna_valid, is_valid, ml_proxy_formulas
 from .poset_core import FinitePoset, PointSet, downset_closure, iter_surjective_p_morphisms
 
 
@@ -353,13 +342,7 @@ def boolean_core_iso_maximal(P: FinitePoset) -> CoreTraceReport:
     if traces != subsets:
         return CoreTraceReport(False, trace, {}, ("trace-image", traces, subsets))
 
-    inverse = {}
-    for a in subsets:
-        mask = 0
-        for i in range(len(P)):
-            if P.m_mask(i) & ~a == 0:
-                mask |= 1 << i
-        inverse[a] = mask
+    inverse = {a: P.m_hull(a) for a in subsets}
 
     for u in regs:
         if inverse[trace[u]] != u:
@@ -387,96 +370,45 @@ def _submasks(mask: int):
 # -- subalgebra generation ----------------------------------------------------
 
 
-def generated_subalgebra(
+def close_under(
     H: FiniteHeytingAlgebra,
     seeds: Iterable[int],
-    witness_order: str = "size",
-) -> tuple[tuple[int, ...], dict[int, Formula]]:
-    """Close seeds plus {0, 1} under meet, join, imp, with witness terms.
+    ops: Sequence[Callable[[int, int], int]],
+) -> set[int]:
+    """The least set of elements of H holding seeds and closed under ops.
 
-    Seed atoms are named p<canonical index>. "size" assigns each element
-    the first term found in a smallest-first search (ties broken by the
-    operation order meet, join, imp, then operand indices); "round" is an
-    alternative admissible choice that fills rounds in discovery order.
+    Masks only: each element found is combined, in both argument orders,
+    with itself and every element found before it. The loop stops once
+    all of H is reached.
     """
-    import heapq
+    known = set(seeds)
+    order = list(known)
+    full = len(H.elements)
+    # order grows while the loop reads it
+    for i, u in enumerate(order):
+        if len(known) == full:
+            break
+        for v in order[: i + 1]:
+            for fn in ops:
+                for w in (fn(u, v), fn(v, u)):
+                    if w not in known:
+                        known.add(w)
+                        order.append(w)
+    return known
 
-    seed_list = sorted(set(seeds), key=H.index)
-    base_terms: list[tuple[int, Formula, int]] = []
-    for u in seed_list:
-        base_terms.append((u, Atom(f"p{H.index(u)}"), 1))
-    if H.bot not in set(seed_list):
-        base_terms.append((H.bot, Bot(), 1))
-    if H.top not in set(seed_list):
-        base_terms.append((H.top, Top(), 1))
 
-    ops = [(0, And, H.meet), (1, Or, H.join), (2, Implies, H.imp)]
-    terms: dict[int, Formula] = {}
-    sizes: dict[int, int] = {}
-    order: list[int] = []
-
-    if witness_order == "size":
-        heap: list[tuple[int, int, int, int, int, int, Formula]] = []
-        tick = 0
-        for u, t, s in base_terms:
-            heapq.heappush(heap, (s, -1, H.index(u), -1, tick, u, t))
-            tick += 1
-        while heap:
-            size, op_rank, ia, ib, _, value, term = heapq.heappop(heap)
-            if value in terms:
-                continue
-            terms[value] = term
-            sizes[value] = size
-            order.append(value)
-            for rank, node, fn in ops:
-                for other in order:
-                    for a, b in ((value, other), (other, value)):
-                        w = fn(a, b)
-                        if w in terms:
-                            continue
-                        s = sizes[a] + sizes[b] + 1
-                        heapq.heappush(
-                            heap,
-                            (s, rank, H.index(a), H.index(b), tick, w, node(terms[a], terms[b])),
-                        )
-                        tick += 1
-    elif witness_order == "round":
-        for u, t, s in base_terms:
-            if u not in terms:
-                terms[u] = t
-                order.append(u)
-        changed = True
-        while changed:
-            changed = False
-            snapshot = list(order)
-            for rank, node, fn in ops:
-                for a in snapshot:
-                    for b in snapshot:
-                        w = fn(a, b)
-                        if w not in terms:
-                            terms[w] = node(terms[a], terms[b])
-                            order.append(w)
-                            changed = True
-    else:
-        raise ValueError(f"unknown witness order {witness_order!r}")
-
-    members = tuple(sorted(terms, key=H.index))
-    return members, terms
+def generated_subalgebra(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> tuple[int, ...]:
+    """Close seeds plus {0, 1} under meet, join and imp, in canonical order."""
+    # meet and join are & and | on upset masks
+    members = close_under(H, {*seeds, H.bot, H.top}, (and_, or_, H.imp))
+    return tuple(sorted(members, key=H.index))
 
 
 def is_regularly_generated(H: FiniteHeytingAlgebra) -> bool:
-    members, _ = generated_subalgebra(H, H.regulars)
-    return len(members) == len(H.elements)
+    return len(generated_subalgebra(H, H.regulars)) == len(H.elements)
 
 
-# -- tensor, module-level and pointwise --------------------------------------
-
-
-def tensor(P: FinitePoset, U: int | PointSet, V: int | PointSet) -> int:
-    u = U.mask if isinstance(U, PointSet) else U
-    v = V.mask if isinstance(V, PointSet) else V
-    H = dual_algebra(P)
-    return H.tensor_op(u, v)
+# -- tensor, pointwise ---------------------------------------------------------
 
 
 def tensor_pointwise(P: FinitePoset, U: int | PointSet, V: int | PointSet) -> int:
@@ -489,23 +421,14 @@ def tensor_pointwise(P: FinitePoset, U: int | PointSet, V: int | PointSet) -> in
     u = U.mask if isinstance(U, PointSet) else U
     v = V.mask if isinstance(V, PointSet) else V
     maximal = P.maximal_mask
-    n = len(P)
-
-    def hull(a: int) -> int:
-        mask = 0
-        for i in range(n):
-            if P.m_mask(i) & ~a == 0:
-                mask |= 1 << i
-        return mask
-
     good_pairs = [
         (a, b)
         for a in _submasks(maximal)
         for b in _submasks(maximal)
-        if hull(a) & ~u == 0 and hull(b) & ~v == 0
+        if P.m_hull(a) & ~u == 0 and P.m_hull(b) & ~v == 0
     ]
     out = 0
-    for i in range(n):
+    for i in range(len(P)):
         mx = P.m_mask(i)
         if any(mx & ~(a | b) == 0 for a, b in good_pairs):
             out |= 1 << i

@@ -9,28 +9,31 @@ verifies from both ends.
 """
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .heyting import (
     FiniteHeytingAlgebra,
     dual_algebra,
     dual_poset,
-    generated_subalgebra,
     is_leq,
+    is_regularly_generated,
 )
 from .logic import (
     OP_ATOM,
     OP_BOT,
     OP_TOP,
     And,
+    Atom,
     Bot,
     Formula,
     Iff,
     Implies,
     Or,
     SweepGuardError,
+    Top,
     atoms,
     big_and,
     compile_formulas,
@@ -99,11 +102,55 @@ def _root_index(P: FinitePoset) -> int | None:
     return None
 
 
-def jankov_dna_formula(
-    H: FiniteHeytingAlgebra,
-    witness_order: str = "size",
-    force: bool = False,
-) -> JankovBundle:
+def _witness_terms(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> dict[int, Formula]:
+    """A witness term for every element of the subalgebra generated by seeds.
+
+    Seed atoms are named p<canonical index>. Each element gets the first
+    term found in a smallest-first search, ties broken by the operation
+    order meet, join, imp, then operand indices.
+    """
+    seed_list = sorted(set(seeds), key=H.index)
+    base_terms: list[tuple[int, Formula, int]] = []
+    for u in seed_list:
+        base_terms.append((u, Atom(f"p{H.index(u)}"), 1))
+    if H.bot not in set(seed_list):
+        base_terms.append((H.bot, Bot(), 1))
+    if H.top not in set(seed_list):
+        base_terms.append((H.top, Top(), 1))
+
+    ops = [(0, And, H.meet), (1, Or, H.join), (2, Implies, H.imp)]
+    terms: dict[int, Formula] = {}
+    sizes: dict[int, int] = {}
+    order: list[int] = []
+
+    heap: list[tuple[int, int, int, int, int, int, Formula]] = []
+    tick = 0
+    for u, t, s in base_terms:
+        heapq.heappush(heap, (s, -1, H.index(u), -1, tick, u, t))
+        tick += 1
+    while heap:
+        size, op_rank, ia, ib, _, value, term = heapq.heappop(heap)
+        if value in terms:
+            continue
+        terms[value] = term
+        sizes[value] = size
+        order.append(value)
+        for rank, node, fn in ops:
+            for other in order:
+                for a, b in ((value, other), (other, value)):
+                    w = fn(a, b)
+                    if w in terms:
+                        continue
+                    s = sizes[a] + sizes[b] + 1
+                    heapq.heappush(
+                        heap,
+                        (s, rank, H.index(a), H.index(b), tick, w, node(terms[a], terms[b])),
+                    )
+                    tick += 1
+    return terms
+
+
+def jankov_dna_formula(H: FiniteHeytingAlgebra, force: bool = False) -> JankovBundle:
     """Construct the characteristic bundle of H.
 
     H must have a rooted base (else it is not subdirectly irreducible) and
@@ -116,8 +163,7 @@ def jankov_dna_formula(
             f"{H.base.name}: dual poset has no root, "
             "the algebra is not subdirectly irreducible"
         )
-    members, terms = generated_subalgebra(H, H.regulars, witness_order=witness_order)
-    if len(members) != len(H.elements):
+    if not is_regularly_generated(H):
         raise ValueError(
             f"{H.base.name}: algebra is not regularly generated, "
             "no Jankov representative exists for some element"
@@ -129,7 +175,7 @@ def jankov_dna_formula(
         )
     atom_names = {u: f"p{H.index(u)}" for u in H.regulars}
     s = H.top & ~(1 << root)
-    psi = terms
+    psi = _witness_terms(H, H.regulars)
 
     conjuncts: list[Formula] = [Iff(psi[H.bot], Bot())]
     for node, fn in ((And, H.meet), (Or, H.join), (Implies, H.imp)):

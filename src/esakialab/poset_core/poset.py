@@ -134,6 +134,14 @@ class FinitePoset:
         """Maximal points above point i, as a mask."""
         return self.up[i] & self._maximal
 
+    def m_hull(self, mask: int) -> int:
+        """Points whose maximal points all lie in mask: {x | M(x) subseteq mask}."""
+        out = 0
+        for i in range(len(self.points)):
+            if self.m_mask(i) & ~mask == 0:
+                out |= 1 << i
+        return out
+
     def covers_mask(self, i: int) -> int:
         """Immediate successors of point i: minimal elements of its strict up-set."""
         strict = self.strict_up(i)

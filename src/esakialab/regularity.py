@@ -9,10 +9,17 @@ over maximal-bijective p-morphic collapses. Tests pin their agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_, or_
 from typing import Iterator
 
-from .heyting import FiniteHeytingAlgebra, dual_algebra, generated_subalgebra, regular_upsets
-from .poset_core import FinitePoset, ParentMismatchError, PMorphism
+from .heyting import (
+    FiniteHeytingAlgebra,
+    close_under,
+    dual_algebra,
+    generated_subalgebra,
+    regular_upsets,
+)
+from .poset_core import FinitePoset, ParentMismatchError, PMorphism, validate_p_morphism
 from .poset_core.poset import _bits
 
 
@@ -233,8 +240,6 @@ def is_regular_bruteforce_morphism(P: FinitePoset) -> bool:
         f = PMorphism(P, Q, tuple(remap[cls[i]] for i in range(n)))
         if not f.is_surjective:
             continue
-        from .poset_core import validate_p_morphism
-
         if not validate_p_morphism(f):
             continue
         source_max_blocks = {remap[cls[i]] for i in _bits(P.maximal_mask)}
@@ -273,25 +278,13 @@ class RankTable:
         return {self.algebra.element_label(u): self.ranks[u] for u in self.domain}
 
 
-def _meet_join_close(H: FiniteHeytingAlgebra, seed: set[int]) -> set[int]:
-    out = set(seed)
-    frontier = list(out)
-    while frontier:
-        u = frontier.pop()
-        for v in list(out):
-            for w in (u & v, u | v):
-                if w not in out:
-                    out.add(w)
-                    frontier.append(w)
-    return out
-
-
 def rank_table(P: FinitePoset) -> RankTable:
     """Staged closure: level 0 is the meet/join closure of the regular
     upsets with the bounds; each next level adds one implication layer and
     re-closes. The least level reaching an element is its rank."""
     H = dual_algebra(P)
-    current = _meet_join_close(H, set(H.regulars) | {H.bot, H.top})
+    meet_join = (and_, or_)
+    current = close_under(H, {*H.regulars, H.bot, H.top}, meet_join)
     ranks = {u: 0 for u in current}
     level = 0
     while True:
@@ -299,7 +292,7 @@ def rank_table(P: FinitePoset) -> RankTable:
         for u in current:
             for v in current:
                 grown.add(H.imp(u, v))
-        grown = _meet_join_close(H, grown)
+        grown = close_under(H, grown, meet_join)
         if grown == current:
             return RankTable(H, ranks)
         level += 1
@@ -358,14 +351,6 @@ class MorphismRegularityReport:
     generated_pullback_equal: bool
 
 
-def _preimage(f: PMorphism, v: int) -> int:
-    out = 0
-    for i, q in enumerate(f.mapping):
-        if v >> q & 1:
-            out |= 1 << i
-    return out
-
-
 def morphism_regularity_report(f: PMorphism) -> MorphismRegularityReport:
     """Both preservation properties, each decided by two independent routes.
 
@@ -376,8 +361,6 @@ def morphism_regularity_report(f: PMorphism) -> MorphismRegularityReport:
     Requires a surjective p-morphism; the pullback routes are only
     equivalences under surjectivity.
     """
-    from .poset_core import validate_p_morphism
-
     if not validate_p_morphism(f):
         raise ValueError("not a p-morphism")
     if not f.is_surjective:
@@ -395,17 +378,17 @@ def morphism_regularity_report(f: PMorphism) -> MorphismRegularityReport:
 
     src_regs = set(regular_upsets(src))
     tgt_regs = regular_upsets(tgt)
-    pulled = [_preimage(f, v) for v in tgt_regs]
+    pulled = [f.preimage_mask(v) for v in tgt_regs]
     regular_pullback_iso = set(pulled) == src_regs and len(set(pulled)) == len(pulled)
     if regular_pullback_iso:
         HS, HT = dual_algebra(src), dual_algebra(tgt)
         for v in tgt_regs:
-            if _preimage(f, HT.neg(v)) != HS.neg(_preimage(f, v)):
+            if f.preimage_mask(HT.neg(v)) != HS.neg(f.preimage_mask(v)):
                 regular_pullback_iso = False
                 break
             for w in tgt_regs:
-                if _preimage(f, HT.core_join(v, w)) != HS.core_join(
-                    _preimage(f, v), _preimage(f, w)
+                if f.preimage_mask(HT.core_join(v, w)) != HS.core_join(
+                    f.preimage_mask(v), f.preimage_mask(w)
                 ):
                     regular_pullback_iso = False
                     break
@@ -428,9 +411,9 @@ def morphism_regularity_report(f: PMorphism) -> MorphismRegularityReport:
             break
 
     HS, HT = dual_algebra(src), dual_algebra(tgt)
-    src_gen, _ = generated_subalgebra(HS, HS.regulars)
-    tgt_gen, _ = generated_subalgebra(HT, HT.regulars)
-    gen_pullback_equal = {_preimage(f, v) for v in tgt_gen} == set(src_gen)
+    src_gen = generated_subalgebra(HS, HS.regulars)
+    tgt_gen = generated_subalgebra(HT, HT.regulars)
+    gen_pullback_equal = {f.preimage_mask(v) for v in tgt_gen} == set(src_gen)
     if gen_pullback_equal != sim_forward:
         raise RuntimeError(
             "polynomial routes disagree; this indicates an implementation bug"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -17,11 +18,11 @@ from esakialab.heyting import (
     is_regularly_generated,
     regular_elements,
     regular_upsets,
-    tensor,
     tensor_pointwise,
 )
+from esakialab.jankov import _witness_terms
 from esakialab.logic import format_formula
-from esakialab.poset_core import FinitePoset, make_medvedev
+from esakialab.poset_core import FinitePoset, make_ladder, make_medvedev
 
 from corpus import is_isomorphic
 
@@ -112,7 +113,8 @@ def test_boolean_core_trace_iso(fork, c2, diamond, w3):
 
 def test_generated_subalgebra_witnesses(fork):
     H = dual_algebra(fork)
-    members, terms = generated_subalgebra(H, H.regulars)
+    members = generated_subalgebra(H, H.regulars)
+    terms = _witness_terms(H, H.regulars)
     assert len(members) == len(H)
     labelled = {H.element_label(u): format_formula(terms[u]) for u in members}
     assert labelled["{a,b}"] == "p1 | p2"
@@ -120,14 +122,12 @@ def test_generated_subalgebra_witnesses(fork):
     assert labelled["{}"] == "p0"
 
 
-def test_generated_subalgebra_order_independent(fork, c2, diamond, w3):
-    for P in (fork, c2, diamond, w3):
+def test_generated_subalgebra_matches_witness_terms(corpus6):
+    # the term-free closure against the smallest-first term search
+    for P in corpus6:
         H = dual_algebra(P)
-        size_members, _ = generated_subalgebra(H, H.regulars, witness_order="size")
-        round_members, _ = generated_subalgebra(H, H.regulars, witness_order="round")
-        assert size_members == round_members
-    with pytest.raises(ValueError):
-        generated_subalgebra(dual_algebra(fork), (), witness_order="wat")
+        members = generated_subalgebra(H, H.regulars)
+        assert members == tuple(sorted(_witness_terms(H, H.regulars), key=H.index)), P
 
 
 def test_witness_terms_evaluate_to_their_elements(fork, w3):
@@ -135,7 +135,8 @@ def test_witness_terms_evaluate_to_their_elements(fork, w3):
 
     for P in (fork, w3):
         H = dual_algebra(P)
-        members, terms = generated_subalgebra(H, H.regulars)
+        members = generated_subalgebra(H, H.regulars)
+        terms = _witness_terms(H, H.regulars)
         mu = {f"p{H.index(u)}": u for u in H.regulars}
         for u in members:
             assert eval_algebra(H, mu, terms[u]) == u
@@ -148,6 +149,19 @@ def test_regular_generation_fixtures(p1, c2, fork, diamond):
     assert not is_regularly_generated(dual_algebra(diamond))
 
 
+def test_regular_generation_memory_bound():
+    # R2@3 has |H| = 113; a closure that keeps a term or a heap entry per
+    # tried pair peaks at about 2.4 MB here
+    H = dual_algebra(make_ladder("R2", 3))
+    tracemalloc.start()
+    try:
+        assert is_regularly_generated(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_tensor_on_fork(fork):
     H = dual_algebra(fork)
     assert H.tensor_defined()
@@ -156,7 +170,6 @@ def test_tensor_on_fork(fork):
     assert H.tensor_op(a, b) == H.top
     assert H.tensor_op(H.top, 0) == H.top
     assert H.tensor_op(a | b, 0) == a | b
-    assert tensor(fork, a, b) == H.top
 
 
 def test_tensor_matches_pointwise_description(fork):

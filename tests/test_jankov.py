@@ -76,14 +76,6 @@ def test_bundle_json_deterministic(fork, fork_bundle):
     }
 
 
-def test_round_order_bundle_agrees(fork, p1, c2, w3, diamond, fork_bundle):
-    other = jankov_dna_formula(dual_algebra(fork), witness_order="round")
-    for B in (fork, p1, c2, w3, diamond):
-        assert jankov_refutation_check(B, other) == jankov_refutation_check(
-            B, fork_bundle
-        )
-
-
 def test_antichain_fan_towers():
     report = antichain_verify([make_delta0(2), make_delta0(3)])
     assert report.is_antichain
