@@ -11,8 +11,12 @@ from dataclasses import dataclass, field
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .logic import is_dna_valid, is_valid, ml_proxy_formulas
+from .logic import SweepGuardError, is_dna_valid, is_valid, ml_proxy_formulas, sweep_limit
 from .poset_core import FinitePoset, PointSet, downset_closure, iter_surjective_p_morphisms
+
+# imp's miss path reads downsets a byte of the mask at a time
+_TABLE_BITS = 8
+_TABLE_MASK = (1 << _TABLE_BITS) - 1
 
 
 class TensorUndefinedError(RuntimeError):
@@ -35,7 +39,9 @@ class FiniteHeytingAlgebra:
     __slots__ = (
         "base",
         "elements",
+        "top",
         "_index",
+        "_down_tables",
         "_imp_memo",
         "_regulars",
         "_tensor_ok",
@@ -45,7 +51,9 @@ class FiniteHeytingAlgebra:
     def __init__(self, base: FinitePoset):
         self.base = base
         self.elements: tuple[int, ...] = tuple(sorted(base.upsets(), key=_mask_key))
+        self.top: int = base.full_mask
         self._index = {u: i for i, u in enumerate(self.elements)}
+        self._down_tables: tuple[list[int], ...] | None = None
         self._imp_memo: dict[int, dict[int, int]] = {}
         self._regulars: tuple[int, ...] | None = None
         self._tensor_ok: bool | None = None
@@ -56,10 +64,6 @@ class FiniteHeytingAlgebra:
     @property
     def bot(self) -> int:
         return 0
-
-    @property
-    def top(self) -> int:
-        return self.base.full_mask
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -90,9 +94,24 @@ class FiniteHeytingAlgebra:
             row = self._imp_memo[u] = {}
         got = row.get(v)
         if got is None:
-            got = self.elements[self.index(self.top & ~downset_closure(self.base, u & ~v))]
+            got = self.elements[self._index[self.imp_unmemoised(u, v)]]
             row[v] = got
         return got
+
+    def imp_unmemoised(self, u: int, v: int) -> int:
+        """u -> v computed afresh, leaving the memo untouched.
+
+        For callers that try each pair once, such as a subalgebra closure.
+        """
+        tables = self._down_tables
+        if tables is None:
+            tables = self._down_tables = _down_tables(self.base)
+        d = u & ~v
+        down = 0
+        for table in tables:
+            down |= table[d & _TABLE_MASK]
+            d >>= _TABLE_BITS
+        return self.top & ~down
 
     def neg(self, u: int) -> int:
         return self.imp(u, 0)
@@ -162,6 +181,18 @@ class FiniteHeytingAlgebra:
         )
 
 
+def _down_tables(P: FinitePoset) -> tuple[list[int], ...]:
+    """Table k maps bits 8k..8k+7 of a mask to the downset of those points."""
+    tables = []
+    for lo in range(0, len(P), _TABLE_BITS):
+        table = [0]
+        # entry b | 1 << j is entry b joined with the downset of point lo + j
+        for down in P.down[lo : lo + _TABLE_BITS]:
+            table += [t | down for t in table]
+        tables.append(table)
+    return tuple(tables)
+
+
 def dual_algebra(P: FinitePoset) -> FiniteHeytingAlgebra:
     return FiniteHeytingAlgebra(P)
 
@@ -170,20 +201,23 @@ def dual_algebra(P: FinitePoset) -> FiniteHeytingAlgebra:
 
 
 def _join_irreducibles(H: FiniteHeytingAlgebra) -> list[int]:
-    # primality swept over every pair, not read off principal upsets
+    # a != 0 is kept when the join of the elements strictly below it falls
+    # short of a. In a finite lattice that is join-irreducibility, and in a
+    # distributive one join-irreducible equals join-prime, which is what
+    # dual_poset needs. Only the elements and their order are read, not the
+    # base's principal upsets, so the round trip through dual_poset stays an
+    # independent check of duality. A strict subset has fewer points and the
+    # canonical order lists smaller elements first, so only earlier
+    # elements can lie strictly below a.
     gens = []
-    for a in H.elements:
+    for i, a in enumerate(H.elements):
         if a == H.bot:
             continue
-        prime = True
-        for x in H.elements:
-            if not prime:
-                break
-            for y in H.elements:
-                if H.leq(a, x | y) and not (H.leq(a, x) or H.leq(a, y)):
-                    prime = False
-                    break
-        if prime:
+        below = 0
+        for x in H.elements[:i]:
+            if x & ~a == 0:
+                below |= x
+        if below != a:
             gens.append(a)
     return gens
 
@@ -399,8 +433,9 @@ def close_under(
 
 def generated_subalgebra(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> tuple[int, ...]:
     """Close seeds plus {0, 1} under meet, join and imp, in canonical order."""
-    # meet and join are & and | on upset masks
-    members = close_under(H, {*seeds, H.bot, H.top}, (and_, or_, H.imp))
+    # meet and join are & and | on upset masks; the closure tries each pair
+    # once, so a memo would only grow
+    members = close_under(H, {*seeds, H.bot, H.top}, (and_, or_, H.imp_unmemoised))
     return tuple(sorted(members, key=H.index))
 
 
@@ -469,6 +504,12 @@ def check_inqb_tensor_axioms(P: FinitePoset) -> TensorAxiomReport:
     (x->z) & (y->k) <= (x(+)y) -> (z(+)k); both verdicts are reported.
     """
     H = dual_algebra(P)
+    checks, limit = len(H) ** 4, sweep_limit()
+    if checks > limit:
+        raise SweepGuardError(
+            f"check_inqb_tensor_axioms: |H| = {len(H)} gives {checks} implication-axiom "
+            f"checks, more than the budget of {limit} (ESAKIA_MAX_SWEEP)"
+        )
     if not H.tensor_defined():
         raise TensorUndefinedError(
             "axiom sweep needs a regularly generated algebra validating the proxy suite"

@@ -1,9 +1,10 @@
-"""Literal reference semantics, kept to cross-check the compiled evaluators.
+"""Literal reference routes, kept to cross-check the fast ones.
 
 Team support enumerates subteams as the definitions read: an implication
 checks every subteam of the team, a tensor every way of writing the team
 as a union of two subteams. Algebra values recurse through the algebra's
-own operations. Both are slow and meant for small formulas only.
+own operations. Join-irreducibles are found by sweeping primality over
+every pair of elements. All are slow and meant for small inputs only.
 """
 from __future__ import annotations
 
@@ -84,3 +85,22 @@ def eval_algebra(H, mu, f) -> int:
         return H.top
     ops = {And: H.meet, Or: H.join, Implies: H.imp, Tensor: H.tensor_op}
     return ops[type(f)](eval_algebra(H, mu, f.left), eval_algebra(H, mu, f.right))
+
+
+def join_irreducibles(H) -> list[int]:
+    """Nonzero join-prime elements of H in canonical order: a <= x | y forces a <= x or a <= y."""
+    gens = []
+    for a in H.elements:
+        if a == H.bot:
+            continue
+        prime = True
+        for x in H.elements:
+            if not prime:
+                break
+            for y in H.elements:
+                if H.leq(a, x | y) and not (H.leq(a, x) or H.leq(a, y)):
+                    prime = False
+                    break
+        if prime:
+            gens.append(a)
+    return gens

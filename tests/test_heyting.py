@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -21,8 +22,13 @@ from esakialab.heyting import (
     tensor_pointwise,
 )
 from esakialab.jankov import _witness_terms
-from esakialab.logic import format_formula
-from esakialab.poset_core import FinitePoset, make_ladder, make_medvedev
+from esakialab.logic import SweepGuardError, format_formula
+from esakialab.poset_core import (
+    FinitePoset,
+    downset_closure,
+    make_ladder,
+    make_medvedev,
+)
 
 from corpus import is_isomorphic
 
@@ -38,6 +44,28 @@ def test_algebra_of_chain(c2):
     assert H.imp(0, m) == H.top
     assert H.neg(m) == 0
     assert H.neg(0) == H.top
+
+
+def _assert_imp_is_downset_complement(H, pairs):
+    for u, v in pairs:
+        assert H.imp(u, v) == H.top & ~downset_closure(H.base, u & ~v), (H, u, v)
+
+
+def test_imp_matches_downset_complement(corpus5):
+    # M4 has 15 points, so its masks span two lookup tables
+    for P in corpus5 + [make_medvedev(4)]:
+        H = dual_algebra(P)
+        _assert_imp_is_downset_complement(H, [(u, v) for u in H.elements for v in H.elements])
+
+
+def test_imp_matches_downset_complement_across_three_tables():
+    # R2@5 has 18 points: bits 16 and 17 sit in the third table
+    H = dual_algebra(make_ladder("R2", 5))
+    assert len(H.base) == 18
+    rnd = random.Random(3)
+    pairs = [(rnd.choice(H.elements), rnd.choice(H.elements)) for _ in range(3000)]
+    assert any((u & ~v) >> 16 for u, v in pairs)
+    _assert_imp_is_downset_complement(H, pairs)
 
 
 def test_canonical_element_order(fork):
@@ -162,6 +190,19 @@ def test_regular_generation_memory_bound():
     assert peak < 1_000_000
 
 
+def _memo_entries(H):
+    return sum(len(row) for row in H._imp_memo.values())
+
+
+def test_regular_generation_leaves_imp_memo_alone():
+    # R2@4 has |H| = 465; a closure through the memo leaves 55,455 entries
+    H = dual_algebra(make_ladder("R2", 4))
+    H.regulars
+    before = _memo_entries(H)
+    assert is_regularly_generated(H)
+    assert _memo_entries(H) == before
+
+
 def test_tensor_on_fork(fork):
     H = dual_algebra(fork)
     assert H.tensor_defined()
@@ -193,6 +234,15 @@ def test_tensor_undefined_on_irregular(c2):
         H.tensor_op(0, 0)
     with pytest.raises(TensorUndefinedError):
         check_inqb_tensor_axioms(c2)
+
+
+def test_tensor_axiom_sweep_is_guarded(fork, monkeypatch):
+    # the fork's algebra has 5 elements: 5^4 = 625 implication-axiom checks
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "624")
+    with pytest.raises(SweepGuardError, match=r"check_inqb_tensor_axioms.*625"):
+        check_inqb_tensor_axioms(fork)
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "625")
+    assert check_inqb_tensor_axioms(fork).ok_except_printed_form
 
 
 def test_tensor_axiom_report_on_trivial(p1):

@@ -1,11 +1,11 @@
-"""The compiled evaluators against the literal reference semantics."""
+"""The fast paths against the literal reference routes."""
 import random
 
 import pytest
 import reference
 from corpus import posets_by_size
 
-from esakialab.heyting import dual_algebra
+from esakialab.heyting import _join_irreducibles, dual_algebra
 from esakialab.logic import (
     Team,
     atoms,
@@ -15,6 +15,7 @@ from esakialab.logic import (
     team_eval,
     team_valid,
 )
+from esakialab.poset_core import make_delta0, make_delta1, make_medvedev
 
 # the empty and one-world teams are covered by the random 3-atom teams
 ONE_ATOM_TEAMS = ([1], [0, 1])
@@ -59,3 +60,11 @@ def test_eval_algebra_matches_reference_on_small_corpus():
                     assert eval_algebra(H, mu, f) == reference.eval_algebra(H, mu, f), (P, f)
                     checked += 1
     assert checked > 87 * 30 * 3
+
+
+def test_join_irreducibles_match_primality_sweep(corpus7):
+    named = [make_medvedev(3), make_delta0(1), make_delta1(3)]
+    for P in corpus7 + named:
+        H = dual_algebra(P)
+        assert _join_irreducibles(H) == reference.join_irreducibles(H), P
+    assert len(corpus7) == 2450
