@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .logic import SweepGuardError, is_dna_valid, is_valid, ml_proxy_formulas, sweep_limit
 from .poset_core import FinitePoset, PointSet, downset_closure, iter_surjective_p_morphisms
 
-# imp's miss path reads downsets a byte of the mask at a time
+# imp reads downsets a byte of the mask at a time
 _TABLE_BITS = 8
 _TABLE_MASK = (1 << _TABLE_BITS) - 1
 
@@ -42,7 +42,7 @@ class FiniteHeytingAlgebra:
         "top",
         "_index",
         "_down_tables",
-        "_imp_memo",
+        "_components",
         "_regulars",
         "_tensor_ok",
         "_tensor_memo",
@@ -53,8 +53,8 @@ class FiniteHeytingAlgebra:
         self.elements: tuple[int, ...] = tuple(sorted(base.upsets(), key=_mask_key))
         self.top: int = base.full_mask
         self._index = {u: i for i, u in enumerate(self.elements)}
-        self._down_tables: tuple[list[int], ...] | None = None
-        self._imp_memo: dict[int, dict[int, int]] = {}
+        self._down_tables = _down_tables(base)
+        self._components: tuple[FiniteHeytingAlgebra, ...] | None = None
         self._regulars: tuple[int, ...] | None = None
         self._tensor_ok: bool | None = None
         self._tensor_memo: dict[tuple[int, int], int] = {}
@@ -87,28 +87,9 @@ class FiniteHeytingAlgebra:
         return u | v
 
     def imp(self, u: int, v: int) -> int:
-        # one memo row per u, holding the canonical element objects, keeps
-        # the full table of a large algebra free of per-pair key tuples
-        row = self._imp_memo.get(u)
-        if row is None:
-            row = self._imp_memo[u] = {}
-        got = row.get(v)
-        if got is None:
-            got = self.elements[self._index[self.imp_unmemoised(u, v)]]
-            row[v] = got
-        return got
-
-    def imp_unmemoised(self, u: int, v: int) -> int:
-        """u -> v computed afresh, leaving the memo untouched.
-
-        For callers that try each pair once, such as a subalgebra closure.
-        """
-        tables = self._down_tables
-        if tables is None:
-            tables = self._down_tables = _down_tables(self.base)
         d = u & ~v
         down = 0
-        for table in tables:
+        for table in self._down_tables:
             down |= table[d & _TABLE_MASK]
             d >>= _TABLE_BITS
         return self.top & ~down
@@ -135,10 +116,12 @@ class FiniteHeytingAlgebra:
         return [PointSet(self.base, u) for u in self.elements]
 
     def component_algebras(self) -> list["FiniteHeytingAlgebra"]:
-        comps = self.base.components()
-        if len(comps) <= 1:
-            return [self]
-        return [FiniteHeytingAlgebra(self.base.induced(c)) for c in comps]
+        if self._components is None:
+            comps = self.base.components()
+            # a connected base keeps no factors: holding self would be a cycle
+            self._components = () if len(comps) < 2 else tuple(
+                FiniteHeytingAlgebra(self.base.induced(c)) for c in comps)
+        return list(self._components) or [self]
 
     # -- tensor --
 
@@ -433,9 +416,8 @@ def close_under(
 
 def generated_subalgebra(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> tuple[int, ...]:
     """Close seeds plus {0, 1} under meet, join and imp, in canonical order."""
-    # meet and join are & and | on upset masks; the closure tries each pair
-    # once, so a memo would only grow
-    members = close_under(H, {*seeds, H.bot, H.top}, (and_, or_, H.imp_unmemoised))
+    # meet and join are & and | on upset masks
+    members = close_under(H, {*seeds, H.bot, H.top}, (and_, or_, H.imp))
     return tuple(sorted(members, key=H.index))
 
 

@@ -22,9 +22,6 @@ from .heyting import (
     is_regularly_generated,
 )
 from .logic import (
-    OP_ATOM,
-    OP_BOT,
-    OP_TOP,
     And,
     Atom,
     Bot,
@@ -38,6 +35,7 @@ from .logic import (
     big_and,
     compile_formulas,
     format_formula,
+    stage_nodes,
     sweep_limit,
     sweep_nodes,
 )
@@ -52,19 +50,18 @@ MAX_ATOMS = 4
 class _SearchPlan(NamedTuple):
     """The refutation sweep's schedule, fixed by the representatives.
 
-    Depth d of the search values the atom order[d] at node atom_node[d];
-    steps[d] are the other nodes of the compiled representatives whose last
-    atom that is, and conjuncts[d] the table equations (kind, node of a,
-    node of b, node of the result) whose three sides become known there.
+    atom_node and steps stage the representatives' nodes by the search's atom
+    order, as logic.stage_nodes does; conjuncts[d] are the table equations
+    (kind, node of a, node of b, node of the result) whose three sides
+    become known at level d.
     """
 
     size: int
-    order: tuple[str, ...]
-    atom_node: tuple[int, ...]
-    steps: tuple[list[tuple[int, int, int, int]], ...]
-    conjuncts: tuple[list[tuple[int, int, int, int]], ...]
-    bot: tuple[int, int]  # (depth, node) of psi_bot
-    second: tuple[int, int]  # (depth, node) of psi_s
+    atom_node: list[int]
+    steps: list[list[tuple[int, int, int, int]]]
+    conjuncts: list[list[tuple[int, int, int, int]]]
+    bot: tuple[int, int]  # (level, node) of psi_bot
+    second: tuple[int, int]  # (level, node) of psi_s
 
 
 @dataclass(frozen=True)
@@ -170,8 +167,8 @@ def jankov_dna_formula(H: FiniteHeytingAlgebra, force: bool = False) -> JankovBu
         )
     if len(H.regulars) > MAX_ATOMS and not force:
         raise SweepGuardError(
-            f"{len(H.regulars)} atoms exceed the limit of {MAX_ATOMS}; "
-            "pass force=True to accept the sweep cost"
+            f"jankov_dna_formula: {len(H.regulars)} atoms exceed the limit of {MAX_ATOMS} "
+            f"(|B-core|^{len(H.regulars)} valuations per root); pass force=True to accept the cost"
         )
     atom_names = {u: f"p{H.index(u)}" for u in H.regulars}
     s = H.top & ~(1 << root)
@@ -201,19 +198,9 @@ def _search_plan(H: FiniteHeytingAlgebra, psi: dict[int, Formula], s: int) -> _S
     # come first so the psi_s != top condition prunes early
     s_names = atoms(psi[s])
     order = s_names + tuple(sorted(set(prog.names) - set(s_names)))
-    rank = {n: i for i, n in enumerate(order)}
+    atom_node, steps, level = stage_nodes(prog, order)
     root = dict(zip(H.elements, prog.roots))
-    level: list[int] = []
-    atom_node = [0] * len(order)
-    steps: list[list[tuple[int, int, int, int]]] = [[] for _ in order]
-    for i, (op, a, b) in enumerate(prog.nodes):
-        if op == OP_ATOM:
-            level.append(rank[prog.names[a]])
-            atom_node[level[i]] = i
-            continue
-        level.append(0 if op in (OP_BOT, OP_TOP) else max(level[a], level[b]))
-        steps[level[i]].append((i, op, a, b))
-    conjuncts: list[list[tuple[int, int, int, int]]] = [[] for _ in order]
+    conjuncts: list[list[tuple[int, int, int, int]]] = [[] for _ in steps]
     for kind, fn in enumerate((H.meet, H.join, H.imp)):
         for a in H.elements:
             for b in H.elements:
@@ -221,10 +208,9 @@ def _search_plan(H: FiniteHeytingAlgebra, psi: dict[int, Formula], s: int) -> _S
                 conjuncts[max(level[ra], level[rb], level[rc])].append((kind, ra, rb, rc))
     return _SearchPlan(
         size=len(prog.nodes),
-        order=order,
-        atom_node=tuple(atom_node),
-        steps=tuple(steps),
-        conjuncts=tuple(conjuncts),
+        atom_node=atom_node,
+        steps=steps,
+        conjuncts=conjuncts,
         bot=(level[root[H.bot]], root[H.bot]),
         second=(level[root[s]], root[s]),
     )
@@ -247,28 +233,28 @@ def _refuted_at_root(
     s_lvl, s_node = plan.second
     limit = sweep_limit()
 
-    def rec(depth: int) -> bool:
-        if depth == len(plan.order):
+    def rec(level: int) -> bool:
+        sweep_nodes(K, plan.steps[level], values)
+        if level == s_lvl and values[s_node] == K.top:
+            return False
+        if level == bot_lvl and values[bot_node] != K.bot:
+            return False
+        for kind, a, b, c in plan.conjuncts[level]:
+            if target_ops[kind](values[a], values[b]) != values[c]:
+                return False
+        if level == len(plan.atom_node):
             return True
-        atom, steps, conjuncts = plan.atom_node[depth], plan.steps[depth], plan.conjuncts[depth]
+        atom = plan.atom_node[level]
         for value in K.regulars:
             budget[0] += 1
             if budget[0] > limit and not force:
                 raise SweepGuardError(
-                    f"refutation sweep exceeded {limit} nodes; "
-                    "pass force=True to continue"
+                    f"jankov_refutation_check: search passed {limit} nodes (ESAKIA_MAX_SWEEP), of "
+                    f"up to {len(K.regulars)}^{len(plan.atom_node)} valuations at this root; "
+                    "pass force=True"
                 )
             values[atom] = value
-            sweep_nodes(K, steps, values)
-            ok = not (depth == s_lvl and values[s_node] == K.top)
-            if ok and depth == bot_lvl and values[bot_node] != K.bot:
-                ok = False
-            if ok:
-                for kind, a, b, c in conjuncts:
-                    if target_ops[kind](values[a], values[b]) != values[c]:
-                        ok = False
-                        break
-            if ok and rec(depth + 1):
+            if rec(level + 1):
                 return True
         return False
 

@@ -372,43 +372,71 @@ def sweep_nodes(H, steps, values: list[int]) -> None:
             values[i] = H.bot if op == OP_BOT else H.top
 
 
-def _algebra_values(H, prog: Program, valuations) -> Iterator[int]:
-    """The root's value under each valuation, a sequence indexed like prog.names."""
-    values = [0] * len(prog.nodes)
-    leaves = [(i, a) for i, (op, a, _) in enumerate(prog.nodes) if op == OP_ATOM]
-    steps = [(i, *node) for i, node in enumerate(prog.nodes) if node[0] != OP_ATOM]
-    root = prog.roots[0]
-    for valuation in valuations:
-        for i, a in leaves:
-            values[i] = valuation[a]
-        sweep_nodes(H, steps, values)
-        yield values[root]
+def stage_nodes(prog: Program, order: Sequence[str]):
+    """Stage prog's nodes by an atom order: a node is at level d when the
+    first d atoms of order fix its value, so atom-free nodes are at level 0.
+
+    Returns the node of each atom of order, the non-atom nodes of each level
+    as (node, op, left, right), and the level of every node. Valuing atom d
+    takes a sweep from level d to level d + 1.
+    """
+    rank = {name: d for d, name in enumerate(order)}
+    atom_node = [0] * len(order)
+    steps: list[list[tuple[int, int, int, int]]] = [[] for _ in range(len(order) + 1)]
+    level: list[int] = []
+    for i, (op, a, b) in enumerate(prog.nodes):
+        if op == OP_ATOM:
+            atom_node[rank[prog.names[a]]] = i
+            level.append(rank[prog.names[a]] + 1)
+            continue
+        level.append(max(level[a], level[b]) if op >= OP_AND else 0)
+        steps[level[i]].append((i, op, a, b))
+    return atom_node, steps, level
 
 
 def eval_algebra(H, mu, f: Formula) -> int:
     """Interpret f in H under the valuation mu (atom name to element)."""
     prog = compile_formulas([f])
+    atom_node, steps, _ = stage_nodes(prog, prog.names)
+    values = [0] * len(prog.nodes)
     try:
-        valuation = [mu[name] for name in prog.names]
+        for name, i in zip(prog.names, atom_node):
+            values[i] = mu[name]
     except KeyError as exc:
         raise UnboundAtomError(exc.args[0]) from None
-    return next(_algebra_values(H, prog, [valuation]))
+    for stage in steps:
+        sweep_nodes(H, stage, values)
+    return values[prog.roots[0]]
 
 
-def _valid_over(H, prog: Program, domain: Sequence[int], force: bool) -> bool:
+def _refutable(H, domain, atom_node, steps, values: list[int], root: int, level: int) -> bool:
+    """True iff valuing the atoms from level on over domain can send root
+    below top. A plain function: a closure that calls itself would leave a
+    reference cycle for the collector on every sweep."""
+    sweep_nodes(H, steps[level], values)
+    if level == len(atom_node):
+        return values[root] != H.top
+    for value in domain:
+        values[atom_node[level]] = value
+        if _refutable(H, domain, atom_node, steps, values, root, level + 1):
+            return True
+    return False
+
+
+def _valid_over(H, prog: Program, domain: Sequence[int], force: bool, caller: str) -> bool:
     count = len(domain) ** len(prog.names)
     if not force and count > sweep_limit():
         raise SweepGuardError(
-            f"sweep of {count} valuations exceeds the budget of {sweep_limit()}; "
-            f"pass force=True or raise ESAKIA_MAX_SWEEP"
+            f"{caller}: {len(domain)}^{len(prog.names)} = {count} valuations, more than "
+            f"the budget of {sweep_limit()} (ESAKIA_MAX_SWEEP); pass force=True"
         )
-    valuations = product(domain, repeat=len(prog.names))
-    return all(v == H.top for v in _algebra_values(H, prog, valuations))
+    atom_node, steps, _ = stage_nodes(prog, prog.names)
+    return not _refutable(H, domain, atom_node, steps, [0] * len(prog.nodes), prog.roots[0], 0)
 
 
 def is_valid(H, f: Formula, force: bool = False) -> bool:
     """True iff f evaluates to 1 under every valuation into H."""
-    return _valid_over(H, compile_formulas([f]), H.elements, force)
+    return _valid_over(H, compile_formulas([f]), H.elements, force, "is_valid")
 
 
 def is_dna_valid(H, f: Formula, force: bool = False) -> bool:
@@ -419,7 +447,7 @@ def is_dna_valid(H, f: Formula, force: bool = False) -> bool:
     """
     prog = compile_formulas([f])
     parts = H.component_algebras() if hasattr(H, "component_algebras") else [H]
-    return all(_valid_over(K, prog, K.regulars, force) for K in parts)
+    return all(_valid_over(K, prog, K.regulars, force, "is_dna_valid") for K in parts)
 
 
 # -- team semantics ---------------------------------------------------------
@@ -514,7 +542,8 @@ def team_valid(f: Formula, k: int, force: bool = False) -> bool:
         raise ValueError(f"formula has {len(prog.names)} atoms, more than k={k}")
     if k > 2 and not force:
         raise SweepGuardError(
-            f"exhaustive team sweep is limited to k <= 2 (got {k}); pass force=True"
+            f"team_valid: k={k} gives 2^(2^{k}) teams, more than the 2^(2^2) "
+            "swept without force; pass force=True"
         )
     if k >= MAX_TEAM_WORLDS.bit_length():  # 2^k worlds
         raise SweepGuardError(f"team_valid: k={k} gives 2^(2^{k}) teams, "

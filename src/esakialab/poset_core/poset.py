@@ -168,20 +168,17 @@ class FinitePoset:
 
     def upsets(self) -> list[int]:
         """All upward-closed subsets, as masks, in a fixed deterministic order."""
-        n = len(self.points)
-        order = sorted(range(n), key=lambda i: (self.up[i].bit_count(), i))
-        out: list[int] = []
-
-        def rec(pos: int, mask: int) -> None:
-            if pos == n:
-                out.append(mask)
-                return
-            i = order[pos]
-            rec(pos + 1, mask)
-            if self.strict_up(i) & ~mask == 0:
-                rec(pos + 1, mask | 1 << i)
-
-        rec(0, 0)
+        # smallest up-set first, so a point's strict up-set is decided before
+        # it; a mask without i is listed before the same mask with i
+        out = [0]
+        for i in sorted(range(len(self.points)), key=lambda i: (self.up[i].bit_count(), i)):
+            strict, bit = self.strict_up(i), 1 << i
+            nxt = []
+            for mask in out:
+                nxt.append(mask)
+                if strict & ~mask == 0:
+                    nxt.append(mask | bit)
+            out = nxt
         return out
 
     def components(self) -> list[int]:

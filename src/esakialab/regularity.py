@@ -104,20 +104,25 @@ def sim_n(P: FinitePoset, n: int) -> Partition:
     return _classes_to_partition(P, cls)
 
 
+def _stable_classes(P: FinitePoset) -> tuple[int, list[int]]:
+    """The least level n whose partition is the limit, and its classes. Each
+    level refines the last, so the limit is the first level the next leaves
+    with as many classes."""
+    n, cls = 0, _sim0_classes(P)
+    while True:
+        nxt = _refine(P, cls)
+        if len(set(nxt)) == len(set(cls)):
+            return n, cls
+        n, cls = n + 1, nxt
+
+
 def sim_infty(P: FinitePoset) -> Partition:
-    return sim_n(P, sim_stabilization_index(P))
+    return _classes_to_partition(P, _stable_classes(P)[1])
 
 
 def sim_stabilization_index(P: FinitePoset) -> int:
     """Least n with the level-n partition equal to the limit partition."""
-    cls = _sim0_classes(P)
-    n = 0
-    while True:
-        nxt = _refine(P, cls)
-        if _classes_to_partition(P, nxt) == _classes_to_partition(P, cls):
-            return n
-        cls = nxt
-        n += 1
+    return _stable_classes(P)[0]
 
 
 def quotient(P: FinitePoset, part: Partition) -> FinitePoset:

@@ -71,6 +71,15 @@ def test_dual_summary(capsys, written):
     }
 
 
+def test_dual_on_a_long_chain(capsys, tmp_path):
+    # deeper than the interpreter's recursion limit
+    points = [f"c{i}" for i in range(1100)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"points": points, "leq": list(zip(points, points[1:]))}))
+    code, out, _ = invoke(capsys, "dual", str(path))
+    assert code == 0 and out.startswith("size: 1101\n")
+
+
 def test_check_regular_contract_line(capsys, tmp_path):
     path = tmp_path / "f2.json"
     path.write_text(make_delta0(2).to_json(), encoding="utf-8")
@@ -162,6 +171,16 @@ def test_validate_team_with_too_many_atoms(capsys, written):
     )
     assert code == 2 and one_error_line(out, err)
     assert "more than k=2" in err
+
+
+def test_validate_sweep_guard_names_the_function(capsys, written, monkeypatch):
+    # C2 has 2 regular elements, so 3 atoms give 8 negative valuations
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "7")
+    code, out, err = invoke(
+        capsys, "validate", written["C2"], "--formula", "p -> q -> r -> p", "--dna"
+    )
+    assert code == 2 and one_error_line(out, err)
+    assert err.startswith("error: is_dna_valid: 2^3 = 8 valuations, more than the budget of 7")
 
 
 def test_validate_malformed_sweep_limit(capsys, written, monkeypatch):

@@ -190,19 +190,6 @@ def test_regular_generation_memory_bound():
     assert peak < 1_000_000
 
 
-def _memo_entries(H):
-    return sum(len(row) for row in H._imp_memo.values())
-
-
-def test_regular_generation_leaves_imp_memo_alone():
-    # R2@4 has |H| = 465; a closure through the memo leaves 55,455 entries
-    H = dual_algebra(make_ladder("R2", 4))
-    H.regulars
-    before = _memo_entries(H)
-    assert is_regularly_generated(H)
-    assert _memo_entries(H) == before
-
-
 def test_tensor_on_fork(fork):
     H = dual_algebra(fork)
     assert H.tensor_defined()

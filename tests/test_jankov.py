@@ -41,6 +41,17 @@ def test_refutation_matches_divisibility(fork, p1, c2, w3, diamond, fork_bundle)
         assert jankov_refutation_check(B, fork_bundle) == expected[B.name]
 
 
+def test_refutation_sweep_is_guarded(w3, fork_bundle, monkeypatch):
+    # the fork's bundle has 4 atoms and W3's root has 8 regulars: 8^4 valuations
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "3")
+    with pytest.raises(
+        SweepGuardError,
+        match=r"^jankov_refutation_check: search passed 3 nodes .* up to 8\^4 valuations",
+    ):
+        jankov_refutation_check(w3, fork_bundle)
+    assert jankov_refutation_check(w3, fork_bundle, force=True)
+
+
 def test_trivial_bundle_refuted_everywhere(p1, c2, fork, w3, diamond):
     bundle = jankov_dna_formula(dual_algebra(p1))
     for B in (p1, c2, fork, w3, diamond):
@@ -52,7 +63,8 @@ def test_precondition_errors(a2, c2, w3):
         jankov_dna_formula(dual_algebra(a2))
     with pytest.raises(ValueError, match="not regularly generated"):
         jankov_dna_formula(dual_algebra(c2))
-    with pytest.raises(SweepGuardError, match=f"limit of {MAX_ATOMS}"):
+    match = f"^jankov_dna_formula: 8 atoms exceed the limit of {MAX_ATOMS} "
+    with pytest.raises(SweepGuardError, match=match):
         jankov_dna_formula(dual_algebra(w3))
 
 

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import pytest
@@ -150,6 +151,21 @@ def test_eval_algebra_value(c2):
     assert eval_algebra(H, {"p": m}, parse("~~p")) == H.top
 
 
+def test_algebra_sweeps_leave_no_garbage():
+    # a sweep that recurses through a closure leaves a reference cycle per call
+    H = dual_algebra(make_medvedev(4))
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_valid(H, parse("p -> q -> p"))
+        assert is_dna_valid(H, axiom_instances("KP"))
+        assert eval_algebra(H, {"p": 0, "q": H.top}, parse("~p & q")) == H.top
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
+
+
 def test_eval_unbound_atom(c2):
     with pytest.raises(UnboundAtomError):
         eval_algebra(dual_algebra(c2), {}, parse("p"))
@@ -167,9 +183,11 @@ def test_sweep_guard_trips(c2, monkeypatch):
     monkeypatch.setenv("ESAKIA_MAX_SWEEP", "10")
     H = dual_algebra(c2)
     f = parse("p | q | r -> p | q | r")
-    with pytest.raises(SweepGuardError):
+    with pytest.raises(SweepGuardError, match=r"^is_valid: 3\^3 = 27 valuations, .* budget of 10"):
         is_valid(H, f)
     assert is_valid(H, f, force=True)
+    with pytest.raises(SweepGuardError, match=r"^is_dna_valid: 2\^4 = 16 valuations"):
+        is_dna_valid(H, parse("p & q -> r | s"))
 
 
 def test_malformed_sweep_limit_is_a_guard_error(c2, monkeypatch):
@@ -235,7 +253,7 @@ def test_team_valid_spot_set():
 def test_team_valid_guards():
     with pytest.raises(ValueError):
         team_valid(parse("p | q | r"), 2)
-    with pytest.raises(SweepGuardError):
+    with pytest.raises(SweepGuardError, match=r"^team_valid: k=3 gives 2\^\(2\^3\) teams.*force"):
         team_valid(parse("p"), 3)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -165,6 +166,19 @@ def test_rank_table_fan_tower():
     assert Counter(rt.as_labelled().values()) == {0: 19, 1: 10}
     top = rt.algebra.top
     assert top in rt and rt.rank(top) == 0
+
+
+def test_rank_table_memory_bound():
+    # R2@3 has |H| = 113; keeping every imp the levels try holds 113^2
+    # entries and peaks at about 0.57 MB
+    P = make_ladder("R2", 3)
+    tracemalloc.start()
+    try:
+        assert len(rank_table(P).ranks) == 113
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250_000
 
 
 def test_separation_equivalence_fixture_sweep(fork, diamond):
