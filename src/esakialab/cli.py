@@ -3,7 +3,8 @@
 Every subcommand is pure: the same inputs produce byte-identical stdout,
 written once at the end of the run. Exit codes: 0 on success, 1 when a
 checked property fails (an invalid formula, an oracle disagreement, a
-broken antichain), 2 on usage errors.
+broken antichain), 2 on usage errors, on a sweep past the guard and on
+a tensor formula over an algebra where the tensor is undefined.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .heyting import dual_algebra, is_leq, is_regularly_generated
+from .heyting import TensorUndefinedError, dual_algebra, is_leq, is_regularly_generated
 from .jankov import antichain_verify, jankov_dna_formula
 from .logic import (
     FormulaSyntaxError,
@@ -24,6 +25,7 @@ from .logic import (
 )
 from .poset_core import (
     FinitePoset,
+    OrderConstructionError,
     make_delta0,
     make_delta1,
     make_ladder,
@@ -160,7 +162,10 @@ def _cmd_quotient(args) -> tuple[int, str]:
         if k < 0:
             raise UsageError("--n must be nonnegative")
         part = sim_n(P, k)
-    return 0, quotient(P, part).to_json()
+    try:
+        return 0, quotient(P, part).to_json()
+    except OrderConstructionError as exc:  # a block's label is also a point's
+        raise UsageError(f"cannot label the quotient: {exc}") from exc
 
 
 def _cmd_validate(args) -> tuple[int, str]:
@@ -321,10 +326,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, text = args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SweepGuardError as exc:
+    except (UsageError, SweepGuardError, TensorUndefinedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PropertyFailure as exc:

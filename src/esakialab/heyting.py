@@ -112,9 +112,6 @@ class FiniteHeytingAlgebra:
         names = [self.base.points[i] for i in range(len(self.base)) if u >> i & 1]
         return "{" + ",".join(names) + "}"
 
-    def element_sets(self) -> list[PointSet]:
-        return [PointSet(self.base, u) for u in self.elements]
-
     def component_algebras(self) -> list["FiniteHeytingAlgebra"]:
         if self._components is None:
             comps = self.base.components()
@@ -304,13 +301,6 @@ class BooleanCore:
 
     def neg(self, u: int) -> int:
         return self.algebra.neg(u)
-
-    def complement_law_holds(self) -> bool:
-        H = self.algebra
-        return all(
-            self.join(u, self.neg(u)) == H.top and self.meet(u, self.neg(u)) == H.bot
-            for u in self.elements
-        )
 
 
 def regular_elements(H: FiniteHeytingAlgebra) -> BooleanCore:

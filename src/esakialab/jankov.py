@@ -226,39 +226,47 @@ def _refuted_at_root(
     becomes an exact equation and a branch dies on the first failed one.
     The schedule comes from the bundle's plan.
     """
-    plan = bundle.plan
-    values = [0] * plan.size
-    target_ops = (K.meet, K.join, K.imp)
-    bot_lvl, bot_node = plan.bot
-    s_lvl, s_node = plan.second
-    limit = sweep_limit()
+    values = [0] * bundle.plan.size
+    ops = (K.meet, K.join, K.imp)
+    return _refuted_from(K, ops, bundle.plan, values, budget, sweep_limit(), force, 0)
 
-    def rec(level: int) -> bool:
-        sweep_nodes(K, plan.steps[level], values)
-        if level == s_lvl and values[s_node] == K.top:
-            return False
-        if level == bot_lvl and values[bot_node] != K.bot:
-            return False
-        for kind, a, b, c in plan.conjuncts[level]:
-            if target_ops[kind](values[a], values[b]) != values[c]:
-                return False
-        if level == len(plan.atom_node):
-            return True
-        atom = plan.atom_node[level]
-        for value in K.regulars:
-            budget[0] += 1
-            if budget[0] > limit and not force:
-                raise SweepGuardError(
-                    f"jankov_refutation_check: search passed {limit} nodes (ESAKIA_MAX_SWEEP), of "
-                    f"up to {len(K.regulars)}^{len(plan.atom_node)} valuations at this root; "
-                    "pass force=True"
-                )
-            values[atom] = value
-            if rec(level + 1):
-                return True
+
+def _refuted_from(
+    K: FiniteHeytingAlgebra,
+    ops: tuple,
+    plan: _SearchPlan,
+    values: list[int],
+    budget: list[int],
+    limit: int,
+    force: bool,
+    level: int,
+) -> bool:
+    """True iff valuing the atoms from ``level`` on can refute chi at K's
+    root. A plain function: a closure that calls itself would leave a
+    reference cycle for the collector on every root."""
+    sweep_nodes(K, plan.steps[level], values)
+    if level == plan.second[0] and values[plan.second[1]] == K.top:
         return False
-
-    return rec(0)
+    if level == plan.bot[0] and values[plan.bot[1]] != K.bot:
+        return False
+    for kind, a, b, c in plan.conjuncts[level]:
+        if ops[kind](values[a], values[b]) != values[c]:
+            return False
+    if level == len(plan.atom_node):
+        return True
+    atom = plan.atom_node[level]
+    for value in K.regulars:
+        budget[0] += 1
+        if budget[0] > limit and not force:
+            raise SweepGuardError(
+                f"jankov_refutation_check: search passed {limit} nodes (ESAKIA_MAX_SWEEP), of "
+                f"up to {len(K.regulars)}^{len(plan.atom_node)} valuations at this root; "
+                "pass force=True"
+            )
+        values[atom] = value
+        if _refuted_from(K, ops, plan, values, budget, limit, force, level + 1):
+            return True
+    return False
 
 
 def jankov_refutation_check(

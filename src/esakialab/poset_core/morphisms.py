@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .poset import FinitePoset, UnknownPointError, _bits
+from .poset import FinitePoset, UnknownPointError, _bits, collapse
 
 
 class ReductionError(ValueError):
@@ -36,9 +36,6 @@ class PMorphism:
 
     def __call__(self, label: str) -> str:
         return self.target.points[self.mapping[self.source.index(label)]]
-
-    def as_dict(self) -> dict[str, str]:
-        return {p: self.target.points[self.mapping[i]] for i, p in enumerate(self.source.points)}
 
     def image_mask(self, source_mask: int) -> int:
         out = 0
@@ -92,32 +89,37 @@ def iter_surjective_p_morphisms(P: FinitePoset, Q: FinitePoset) -> Iterator[PMor
     if n < m or m == 0:
         return
     order = sorted(range(n), key=lambda i: (P.up[i].bit_count(), i))
-    assign = [-1] * n
+    yield from _extend(P, Q, order, [-1] * n, 0, 0)
 
-    def rec(pos: int, image: int) -> Iterator[PMorphism]:
-        if pos == n:
-            if image == Q.full_mask:
-                yield PMorphism(P, Q, tuple(assign))
-            return
-        i = order[pos]
-        # everything strictly above i is already assigned
-        above = list(_bits(P.strict_up(i)))
-        for q in range(m):
-            if any(not Q.up[q] >> assign[j] & 1 for j in above):
-                continue
-            image_up = 1 << q
-            for j in above:
-                image_up |= 1 << assign[j]
-            if Q.up[q] & ~image_up:
-                continue  # back condition at i can never be repaired later
-            new_image = image | 1 << q
-            if m - new_image.bit_count() > n - pos - 1:
-                continue  # not enough points left to reach surjectivity
-            assign[i] = q
-            yield from rec(pos + 1, new_image)
-            assign[i] = -1
 
-    yield from rec(0, 0)
+def _extend(
+    P: FinitePoset, Q: FinitePoset, order: list[int], assign: list[int], pos: int, image: int
+) -> Iterator[PMorphism]:
+    """Surjective p-morphisms extending ``assign`` on ``order[:pos]``, whose
+    image so far is ``image``. A plain function: a closure that calls itself
+    would leave a reference cycle for the collector on every search."""
+    n, m = len(order), len(Q.points)
+    if pos == n:
+        if image == Q.full_mask:
+            yield PMorphism(P, Q, tuple(assign))
+        return
+    i = order[pos]
+    # everything strictly above i is already assigned
+    above = list(_bits(P.strict_up(i)))
+    for q in range(m):
+        if any(not Q.up[q] >> assign[j] & 1 for j in above):
+            continue
+        image_up = 1 << q
+        for j in above:
+            image_up |= 1 << assign[j]
+        if Q.up[q] & ~image_up:
+            continue  # back condition at i can never be repaired later
+        new_image = image | 1 << q
+        if m - new_image.bit_count() > n - pos - 1:
+            continue  # not enough points left to reach surjectivity
+        assign[i] = q
+        yield from _extend(P, Q, order, assign, pos + 1, new_image)
+        assign[i] = -1
 
 
 def enumerate_surjective_p_morphisms(P: FinitePoset, Q: FinitePoset) -> list[PMorphism]:
@@ -164,20 +166,10 @@ def apply_reduction(
         raise ReductionError(f"unknown reduction kind {kind!r}")
 
     keep = [p for p in P.points if p != y]
-    pairs = []
-    for i in range(len(P.points)):
-        if i == yi:
-            continue
-        for j in _bits(P.up[i]):
-            if j != yi and j != i:
-                pairs.append((P.points[i], P.points[j]))
-        if P.up[i] >> yi & 1:
-            pairs.append((P.points[i], x))
-    reduced = FinitePoset(
-        keep, pairs, name=f"{P.name}/{kind}" if P.name else None
-    )
-    assignment = {p: (x if p == y else p) for p in P.points}
-    h = PMorphism.from_dict(P, reduced, assignment)
+    block_of = [i - (i > yi) for i in range(len(P.points))]
+    block_of[yi] = block_of[xi]
+    reduced = collapse(P, block_of, keep, name=f"{P.name}/{kind}" if P.name else None)
+    h = PMorphism(P, reduced, tuple(block_of))
     if not validate_p_morphism(h):
         raise RuntimeError("reduction map failed validation; this is a bug")
     return reduced, h

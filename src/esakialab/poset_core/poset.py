@@ -254,13 +254,6 @@ class PointSet:
     poset: FinitePoset
     mask: int
 
-    @classmethod
-    def from_labels(cls, poset: FinitePoset, labels: Iterable[str]) -> "PointSet":
-        mask = 0
-        for lbl in labels:
-            mask |= 1 << poset.index(lbl)
-        return cls(poset, mask)
-
     @property
     def members(self) -> tuple[str, ...]:
         return tuple(self.poset.points[i] for i in _bits(self.mask))
@@ -270,6 +263,27 @@ class PointSet:
 
     def __len__(self) -> int:
         return self.mask.bit_count()
+
+
+def collapse(
+    P: FinitePoset, block_of: Sequence[int], labels: Sequence[str], name: str | None = None
+) -> FinitePoset:
+    """Image of P under a block map: point i goes to block ``block_of[i]``,
+    which is named ``labels[block_of[i]]``.
+
+    A block lies below another when some member of the first lies below
+    some member of the second. The poset constructor closes that relation
+    and raises OrderConstructionError when it has a cycle.
+    """
+    reach = [0] * len(labels)
+    for i, b in enumerate(block_of):
+        reach[b] |= P.up[i]
+    pairs = [
+        (labels[a], labels[b])
+        for a, mask in enumerate(reach)
+        for b in {block_of[j] for j in _bits(mask)}
+    ]
+    return FinitePoset(labels, pairs, name=name)
 
 
 def _owned(P: FinitePoset, S: "PointSet | int") -> int:

@@ -19,8 +19,14 @@ from .heyting import (
     generated_subalgebra,
     regular_upsets,
 )
-from .poset_core import FinitePoset, ParentMismatchError, PMorphism, validate_p_morphism
-from .poset_core.poset import _bits
+from .poset_core import (
+    FinitePoset,
+    OrderConstructionError,
+    ParentMismatchError,
+    PMorphism,
+    validate_p_morphism,
+)
+from .poset_core.poset import _bits, collapse
 
 
 @dataclass(frozen=True)
@@ -134,18 +140,11 @@ def quotient(P: FinitePoset, part: Partition) -> FinitePoset:
     """
     if part.poset != P:
         raise ParentMismatchError("partition belongs to a different poset")
-    labels = []
-    for members in part.blocks_as_labels():
-        labels.append(members[0] if len(members) == 1 else "{" + ",".join(members) + "}")
-    pairs = []
-    for a, ba in enumerate(part.blocks):
-        for b, bb in enumerate(part.blocks):
-            if a == b:
-                continue
-            if any(P.up[i] & bb for i in _bits(ba)):
-                pairs.append((labels[a], labels[b]))
-    name = f"{P.name}/~" if P.name else None
-    return FinitePoset(labels, pairs, name=name)
+    labels = [
+        members[0] if len(members) == 1 else "{" + ",".join(members) + "}"
+        for members in part.blocks_as_labels()
+    ]
+    return collapse(P, part.block_index(), labels, name=f"{P.name}/~" if P.name else None)
 
 
 def quotient_map(P: FinitePoset, part: Partition) -> PMorphism:
@@ -182,22 +181,22 @@ def is_stable_under_sim_infty(P: FinitePoset) -> bool:
     return sim_infty(P).is_discrete
 
 
-def _set_partitions(n: int) -> Iterator[list[int]]:
-    # restricted growth strings: cls[i] <= 1 + max(cls[:i])
-    cls = [0] * n
-
-    def rec(i: int, top: int):
-        if i == n:
-            yield list(cls)
-            return
-        for c in range(top + 2):
-            cls[i] = c
-            yield from rec(i + 1, max(top, c))
-
-    yield from rec(1, 0) if n else iter(())
+def _set_partitions(cls: list[int], i: int, top: int) -> Iterator[list[int]]:
+    """Every restricted growth string extending ``cls[:i]``, whose largest
+    class is ``top``: cls[j] <= 1 + max(cls[:j]). Each string is the block
+    map of one set partition, with classes 0..k-1 numbered by least member.
+    A plain function: a closure that calls itself would leave a reference
+    cycle for the collector on every sweep."""
+    if i == len(cls):
+        yield list(cls)
+        return
+    for c in range(top + 2):
+        cls[i] = c
+        yield from _set_partitions(cls, i + 1, max(top, c))
 
 
 BRUTEFORCE_LIMIT = 7
+_BLOCK_LABELS = tuple(f"q{c}" for c in range(BRUTEFORCE_LIMIT))
 
 
 def is_regular_bruteforce_morphism(P: FinitePoset) -> bool:
@@ -205,53 +204,32 @@ def is_regular_bruteforce_morphism(P: FinitePoset) -> bool:
     injective-on-maximals with a bijective maximal image.
 
     Kernels are enumerated as set partitions, pruned first by the
-    maximal-bijection requirement.
+    maximal-bijection requirement. A kernel whose induced relation has a
+    cycle has no poset image and is skipped.
     """
     n = len(P)
     if n > BRUTEFORCE_LIMIT:
         raise ValueError(f"brute-force oracle is limited to {BRUTEFORCE_LIMIT} points (got {n})")
-    for cls in _set_partitions(n):
-        if max(cls) == n - 1:
+    if not n:
+        return True
+    for cls in _set_partitions([0] * n, 1, 0):
+        k = max(cls) + 1
+        if k == n:
             continue
-        blocks: dict[int, int] = {}
-        for i, c in enumerate(cls):
-            blocks[c] = blocks.get(c, 0) | 1 << i
         # prune: two maximal points in one block can never stay injective
-        if any((b & P.maximal_mask).bit_count() > 1 for b in blocks.values()):
+        source_max_blocks = {cls[i] for i in _bits(P.maximal_mask)}
+        if len(source_max_blocks) != P.maximal_mask.bit_count():
             continue
-        order = sorted(blocks)
-        masks = [blocks[c] for c in order]
-        k = len(masks)
-        # induced relation, then antisymmetry via the closure matrix
-        rel = [[False] * k for _ in range(k)]
-        for a in range(k):
-            for b in range(k):
-                if a != b and any(P.up[i] & masks[b] for i in _bits(masks[a])):
-                    rel[a][b] = True
-        for m in range(k):
-            for a in range(k):
-                if rel[a][m]:
-                    for b in range(k):
-                        if rel[m][b]:
-                            rel[a][b] = True
-        if any(rel[a][b] and rel[b][a] for a in range(k) for b in range(k)):
+        try:
+            Q = collapse(P, cls, _BLOCK_LABELS[:k])
+        except OrderConstructionError:
             continue
-        labels = [f"q{c}" for c in range(k)]
-        pairs = [
-            (labels[a], labels[b]) for a in range(k) for b in range(k) if rel[a][b]
-        ]
-        Q = FinitePoset(labels, pairs)
-        remap = {c: j for j, c in enumerate(order)}
-        f = PMorphism(P, Q, tuple(remap[cls[i]] for i in range(n)))
+        f = PMorphism(P, Q, tuple(cls))
         if not f.is_surjective:
             continue
         if not validate_p_morphism(f):
             continue
-        source_max_blocks = {remap[cls[i]] for i in _bits(P.maximal_mask)}
-        target_max = {i for i in range(k) if Q.maximal_mask >> i & 1}
-        if source_max_blocks != target_max:
-            continue
-        if len(source_max_blocks) != P.maximal_mask.bit_count():
+        if source_max_blocks != set(_bits(Q.maximal_mask)):
             continue
         return False
     return True
@@ -385,8 +363,8 @@ def morphism_regularity_report(f: PMorphism) -> MorphismRegularityReport:
     tgt_regs = regular_upsets(tgt)
     pulled = [f.preimage_mask(v) for v in tgt_regs]
     regular_pullback_iso = set(pulled) == src_regs and len(set(pulled)) == len(pulled)
+    HS, HT = dual_algebra(src), dual_algebra(tgt)
     if regular_pullback_iso:
-        HS, HT = dual_algebra(src), dual_algebra(tgt)
         for v in tgt_regs:
             if f.preimage_mask(HT.neg(v)) != HS.neg(f.preimage_mask(v)):
                 regular_pullback_iso = False
@@ -415,7 +393,6 @@ def morphism_regularity_report(f: PMorphism) -> MorphismRegularityReport:
         if not sim_forward:
             break
 
-    HS, HT = dual_algebra(src), dual_algebra(tgt)
     src_gen = generated_subalgebra(HS, HS.regulars)
     tgt_gen = generated_subalgebra(HT, HT.regulars)
     gen_pullback_equal = {f.preimage_mask(v) for v in tgt_gen} == set(src_gen)

@@ -1,6 +1,10 @@
+import io
 import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from esakialab.cli import run
 from esakialab.heyting import dual_algebra
@@ -121,6 +125,15 @@ def test_quotient(capsys, written):
     assert invoke(capsys, "quotient", written["V"], "--n", "x")[0] == 2
 
 
+def test_quotient_label_clash(capsys, tmp_path):
+    # the block {a,b} would take the label of the point "{a,b}"
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps({"points": ["a", "b", "{a,b}"], "leq": [["a", "b"]]}))
+    code, out, err = invoke(capsys, "quotient", str(path), "--n", "inf")
+    assert code == 2 and one_error_line(out, err)
+    assert "duplicate point labels" in err
+
+
 def test_validate_modes(capsys, written):
     code, out, _ = invoke(capsys, "validate", written["C2"], "--formula", "p -> p")
     assert (code, out) == (0, "algebraic: valid\n")
@@ -171,6 +184,16 @@ def test_validate_team_with_too_many_atoms(capsys, written):
     )
     assert code == 2 and one_error_line(out, err)
     assert "more than k=2" in err
+
+
+def test_validate_tensor_where_it_is_undefined(capsys, written):
+    # F2's algebra is not regularly generated, so it has no tensor
+    for mode in ([], ["--dna"]):
+        code, out, err = invoke(
+            capsys, "validate", written["F2"], "--formula", "p (+) ~p", *mode
+        )
+        assert code == 2 and one_error_line(out, err)
+        assert "tensor" in err
 
 
 def test_validate_sweep_guard_names_the_function(capsys, written, monkeypatch):
@@ -284,3 +307,95 @@ def test_byte_determinism(capsys, written):
     a = invoke(capsys, "check-regular", written["D4"], "--json")
     b = invoke(capsys, "check-regular", written["D4"], "--json")
     assert a == b
+
+
+# -- the exit-code contract on random input ------------------------------------
+
+POINTS = ("a", "b", "c", "d")
+BAD_POSETS = (
+    "{",
+    "[]",
+    '{"points": 3, "leq": []}',
+    '{"points": ["a", "a"], "leq": []}',
+    '{"points": ["a"], "leq": [["a", "z"]]}',
+    '{"points": ["a", "b"], "leq": [["a", "b"], ["b", "a"]]}',
+)
+LEAVES = ("p", "q", "bot", "top")
+BINARY = ("&", "|", "->", "<->", "(+)")
+TOKENS = LEAVES + BINARY + ("~", "(", ")")
+COMMANDS = ("validate", "jankov", "check-regular", "quotient", "leq", "antichain", "dual", "dot", "gen")
+
+
+def random_poset_text(rnd) -> str:
+    if rnd.random() < 0.1:
+        return rnd.choice(BAD_POSETS)
+    points = list(POINTS[: rnd.randint(0, len(POINTS))])
+    # sorted pairs only go label-upward, so the relation is acyclic
+    pairs = [sorted(rnd.choices(points, k=2)) for _ in range(rnd.randint(0, 5))] if points else []
+    return json.dumps({"name": rnd.choice(["", "P"]), "points": points, "leq": pairs})
+
+
+def random_formula_text(rnd, size: int = 7) -> str:
+    """Well-formed text of at most ``size`` nodes over p and q, or token soup."""
+    if size == 7 and rnd.random() < 0.2:
+        return " ".join(rnd.choices(TOKENS, k=rnd.randint(0, 7)))
+    if size == 1 or rnd.random() < 0.3:
+        return rnd.choice(LEAVES)
+    if size == 2 or rnd.random() < 0.3:
+        return "~" + random_formula_text(rnd, size - 1)
+    left = rnd.randint(1, size - 2)
+    right = random_formula_text(rnd, size - 1 - left)
+    return f"({random_formula_text(rnd, left)} {rnd.choice(BINARY)} {right})"
+
+
+def random_argv(rnd) -> list[str]:
+    """An argv whose poset files are the placeholders A and B."""
+    cmd = rnd.choice(COMMANDS)
+    if cmd == "gen":
+        family = rnd.choice(["medvedev", "delta0", "delta1", "ladder", "starify", "mystery"])
+        size = "A" if family == "starify" else rnd.choice(["0", "1", "2", "3", "x"])
+        argv = [cmd, family, size, *rnd.choice([[], ["--kind", "R1"], ["--kind", "R2"]])]
+    elif cmd == "leq":
+        argv = [cmd, "A", "B"]
+    elif cmd == "antichain":
+        argv = [cmd, "A", *rnd.choice([[], ["B"], ["B", "A"]])]
+    else:
+        argv = [cmd, "A"]
+    if cmd == "quotient":
+        argv += ["--n", rnd.choice(["0", "1", "2", "inf", "-1", "x"])]
+    if cmd == "validate":
+        argv += ["--formula", random_formula_text(rnd)]
+        argv += rnd.choice([[], ["--dna"], ["--team", "0"], ["--team", "1"], ["--team", "2"],
+                            ["--team", "3"], ["--dna", "--team", "1"]])
+    if rnd.random() < 0.5:
+        argv.append("--json")
+    if rnd.random() < 0.1:
+        argv.append("--bogus")
+    return argv
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_exit_codes_on_random_input(tmp_path, seed):
+    # hypothesis draws only the seed: its own choices, mutated between
+    # examples, repeated most invocations, where a seeded generator does not
+    rnd = random.Random(seed)
+    paths = {}
+    for key in "AB":
+        path = tmp_path / f"{key}.json"
+        path.write_text(random_poset_text(rnd), encoding="utf-8")
+        paths[key] = str(path)
+    argv = [paths.get(arg, arg) for arg in random_argv(rnd)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv

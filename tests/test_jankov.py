@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -11,7 +12,8 @@ from esakialab.jankov import (
     separating_formula,
 )
 from esakialab.logic import SweepGuardError, eval_algebra, format_formula
-from esakialab.poset_core import make_delta0
+from esakialab.poset_core import make_delta0, make_medvedev
+from esakialab.regularity import is_regular_bruteforce_morphism
 
 
 @pytest.fixture()
@@ -50,6 +52,21 @@ def test_refutation_sweep_is_guarded(w3, fork_bundle, monkeypatch):
     ):
         jankov_refutation_check(w3, fork_bundle)
     assert jankov_refutation_check(w3, fork_bundle, force=True)
+
+
+def test_recursive_searches_leave_no_garbage(fork, fork_bundle):
+    # a search that recurses through a closure leaves a reference cycle per call
+    M3 = make_medvedev(3)
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_regular_bruteforce_morphism(M3)
+        assert is_leq(fork, M3)
+        assert jankov_refutation_check(M3, fork_bundle)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
 
 
 def test_trivial_bundle_refuted_everywhere(p1, c2, fork, w3, diamond):

@@ -16,6 +16,7 @@ from esakialab.poset_core import (
     point_depths,
     upset_closure,
 )
+from esakialab.poset_core.poset import collapse
 
 from corpus import canonical_key, is_isomorphic
 
@@ -47,6 +48,14 @@ def test_duplicate_points_rejected():
 def test_cycle_rejected():
     with pytest.raises(OrderConstructionError):
         FinitePoset(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+def test_collapse_orders_blocks_by_their_members(c3):
+    # x and z share a block above y's only through x <= y and y <= z
+    with pytest.raises(OrderConstructionError, match="cycle"):
+        collapse(c3, [0, 1, 0], ["xz", "y"])
+    Q = collapse(c3, [0, 0, 1], ["xy", "z"], name="C3/xy")
+    assert Q == FinitePoset(["xy", "z"], [("xy", "z")]) and Q.name == "C3/xy"
 
 
 def test_unknown_point_in_pairs_rejected():

@@ -14,6 +14,7 @@ from esakialab.poset_core import (
     make_medvedev,
     validate_p_morphism,
 )
+from esakialab.poset_core.poset import collapse
 from esakialab.regularity import (
     Partition,
     is_regular_bruteforce_morphism,
@@ -72,6 +73,21 @@ def test_quotient_keeps_singleton_labels(fork):
     assert Q.points == ("r", "a", "b")
     assert Q.name == "V/~"
     assert Q == fork
+
+
+def test_quotient_is_the_collapse_of_its_blocks(diamond, fork):
+    merged = {
+        "D4": FinitePoset(["o", "{a,b}", "t"], [("o", "{a,b}"), ("{a,b}", "t")]),
+        "V": FinitePoset(["r", "{a,b}"], [("r", "{a,b}")]),
+    }
+    for P in (diamond, fork):
+        middle = 1 << P.index("a") | 1 << P.index("b")
+        rest = [1 << i for i in range(len(P)) if not middle >> i & 1]
+        parts = [sim_n(P, 0), sim_infty(P), Partition(P, (rest[0], middle, *rest[1:]))]
+        for part in parts:
+            Q = quotient(P, part)
+            assert Q == collapse(P, part.block_index(), Q.points)
+        assert quotient(P, parts[-1]) == merged[P.name]
 
 
 def test_quotient_rejects_foreign_partition(c2, a2):
