@@ -169,7 +169,8 @@ def _cmd_quotient(args) -> tuple[int, str]:
 
 
 def _cmd_validate(args) -> tuple[int, str]:
-    H = dual_algebra(_load_poset(args.source))
+    # team validity never reads the poset, but a bad file is still an error
+    P = _load_poset(args.source)
     try:
         f = parse(args.formula)
     except FormulaSyntaxError as exc:
@@ -182,10 +183,10 @@ def _cmd_validate(args) -> tuple[int, str]:
             raise UsageError(str(exc)) from exc
     elif args.dna:
         mode = "dna"
-        ok = is_dna_valid(H, f, force=args.force)
+        ok = is_dna_valid(dual_algebra(P), f, force=args.force)
     else:
         mode = "algebraic"
-        ok = is_valid(H, f, force=args.force)
+        ok = is_valid(dual_algebra(P), f, force=args.force)
     if args.json:
         return (0 if ok else 1), _dumps({"mode": mode, "valid": ok})
     return (0 if ok else 1), f"{mode}: {'valid' if ok else 'invalid'}"

@@ -45,7 +45,7 @@ class FiniteHeytingAlgebra:
         "_components",
         "_regulars",
         "_tensor_ok",
-        "_tensor_memo",
+        "_splits",
     )
 
     def __init__(self, base: FinitePoset):
@@ -57,7 +57,7 @@ class FiniteHeytingAlgebra:
         self._components: tuple[FiniteHeytingAlgebra, ...] | None = None
         self._regulars: tuple[int, ...] | None = None
         self._tensor_ok: bool | None = None
-        self._tensor_memo: dict[tuple[int, int], int] = {}
+        self._splits: tuple | None = None
 
     # -- lattice structure --
 
@@ -134,19 +134,9 @@ class FiniteHeytingAlgebra:
             raise TensorUndefinedError(
                 "tensor needs a regularly generated algebra validating the proxy suite"
             )
-        key = (u, v)
-        got = self._tensor_memo.get(key)
-        if got is None:
-            got = 0
-            for a in self.regulars:
-                if a & ~u:
-                    continue
-                for b in self.regulars:
-                    if b & ~v:
-                        continue
-                    got |= self.core_join(a, b)
-            self._tensor_memo[key] = got
-        return got
+        if self._splits is None:
+            self._splits = _split_table(self.base)
+        return _split_tensor(self._splits, u, v)
 
     def to_json(self) -> str:
         sets = sorted(
@@ -418,28 +408,40 @@ def is_regularly_generated(H: FiniteHeytingAlgebra) -> bool:
 # -- tensor, pointwise ---------------------------------------------------------
 
 
-def tensor_pointwise(P: FinitePoset, U: int | PointSet, V: int | PointSet) -> int:
-    """Independent description: x lands in the tensor iff M(x) splits.
+def _split_table(P: FinitePoset) -> tuple:
+    """Per distinct M(x): the points with it, and (m_hull(A), m_hull(M(x) - A))
+    for every A inside M(x).
 
-    x is included iff there are maximal-point sets A, B whose regular hulls
-    sit inside U and V and with M(x) inside A union B. No algebra tables
-    are consulted.
+    Splits of M(x) itself suffice: a set whose hull lies in an upset keeps
+    that property on its subsets, so A and B may be disjoint within M(x).
+    """
+    points: dict[int, int] = {}
+    for i in range(len(P)):
+        points[P.m_mask(i)] = points.get(P.m_mask(i), 0) | 1 << i
+    table = []
+    for m, pts in points.items():
+        hull = {a: P.m_hull(a) for a in _submasks(m)}
+        table.append((pts, tuple((hull[a], hull[m & ~a]) for a in hull)))
+    return tuple(table)
+
+
+def _split_tensor(splits: tuple, u: int, v: int) -> int:
+    nu, nv, out = ~u, ~v, 0
+    for pts, pairs in splits:
+        for a, b in pairs:
+            if not (a & nu or b & nv):
+                out |= pts
+                break
+    return out
+
+
+def tensor_pointwise(P: FinitePoset, U: int | PointSet, V: int | PointSet) -> int:
+    """The tensor read off P: x lands in it iff M(x) splits into A and B
+    whose regular hulls sit inside U and V. No algebra tables are consulted.
     """
     u = U.mask if isinstance(U, PointSet) else U
     v = V.mask if isinstance(V, PointSet) else V
-    maximal = P.maximal_mask
-    good_pairs = [
-        (a, b)
-        for a in _submasks(maximal)
-        for b in _submasks(maximal)
-        if P.m_hull(a) & ~u == 0 and P.m_hull(b) & ~v == 0
-    ]
-    out = 0
-    for i in range(len(P)):
-        mx = P.m_mask(i)
-        if any(mx & ~(a | b) == 0 for a, b in good_pairs):
-            out |= 1 << i
-    return out
+    return _split_tensor(_split_table(P), u, v)
 
 
 @dataclass

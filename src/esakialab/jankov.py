@@ -334,10 +334,6 @@ def antichain_verify(posets: list[FinitePoset]) -> AntichainReport:
     )
 
 
-def _poset_key(P: FinitePoset) -> tuple:
-    return (P.points, tuple(P.up))
-
-
 def separating_formula(
     I: list[FinitePoset], J: list[FinitePoset], force: bool = False
 ) -> Formula | None:
@@ -348,15 +344,14 @@ def separating_formula(
     returns chi of a one-sided member, after verifying by sweep that the
     member refutes it and every poset of the other side validates it.
     """
-    for P in list(I) + list(J):
+    both = [*I, *J]
+    for P in both:
         if _root_index(P) is None:
             raise ValueError(f"poset {P.name} is not rooted")
         if not is_regular_structural(P):
             raise ValueError(f"poset {P.name} is not regular")
-    distinct: dict[tuple, FinitePoset] = {}
-    for P in list(I) + list(J):
-        distinct.setdefault(_poset_key(P), P)
-    reps = list(distinct.values())
+    # posets compare by points and order, so equal ones count once
+    reps = list(dict.fromkeys(both))
     for i, P in enumerate(reps):
         for Q in reps[i + 1:]:
             if is_leq(P, Q) or is_leq(Q, P):
@@ -364,17 +359,11 @@ def separating_formula(
                     f"posets {P.name} and {Q.name} are comparable, "
                     "the family is not an antichain"
                 )
-    keys_i = {_poset_key(P) for P in I}
-    keys_j = {_poset_key(P) for P in J}
-    if keys_i == keys_j:
+    set_i, set_j = set(I), set(J)
+    if set_i == set_j:
         return None
-    witness = None
-    for P in list(I) + list(J):
-        k = _poset_key(P)
-        if (k in keys_i) != (k in keys_j):
-            witness = P
-            other = J if k in keys_i else I
-            break
+    witness = next(P for P in both if (P in set_i) != (P in set_j))
+    other = J if witness in set_i else I
     bundle = jankov_dna_formula(dual_algebra(witness), force=force)
     if not jankov_refutation_check(witness, bundle, force=force):
         raise RuntimeError(

@@ -563,22 +563,23 @@ def dnf_inquisitive(f: Formula) -> list[Formula]:
     """
     if has_tensor(f):
         raise ValueError("normal form is defined for tensor-free formulas")
+    return _dnf(f)
 
-    def rec(g: Formula) -> list[Formula]:
-        if isinstance(g, (Atom, Bot, Top)):
-            return [g]
-        if isinstance(g, Or):
-            return rec(g.left) + rec(g.right)
-        if isinstance(g, And):
-            return [And(a, b) for a in rec(g.left) for b in rec(g.right)]
-        assert isinstance(g, Implies)
-        ants, cons = rec(g.left), rec(g.right)
-        out = []
-        for choice in product(range(len(cons)), repeat=len(ants)):
-            out.append(reduce(And, [Implies(a, cons[c]) for a, c in zip(ants, choice)]))
-        return out
 
-    return rec(f)
+def _dnf(g: Formula) -> list[Formula]:
+    # a plain function: a closure that calls itself leaves a reference cycle
+    if isinstance(g, (Atom, Bot, Top)):
+        return [g]
+    if isinstance(g, Or):
+        return _dnf(g.left) + _dnf(g.right)
+    if isinstance(g, And):
+        return [And(a, b) for a in _dnf(g.left) for b in _dnf(g.right)]
+    assert isinstance(g, Implies)
+    ants, cons = _dnf(g.left), _dnf(g.right)
+    out = []
+    for choice in product(range(len(cons)), repeat=len(ants)):
+        out.append(reduce(And, [Implies(a, cons[c]) for a, c in zip(ants, choice)]))
+    return out
 
 
 # -- named axiom instances ---------------------------------------------------
@@ -598,14 +599,14 @@ def axiom_instances(name: str, **params) -> Formula:
             raise ValueError("ND needs k >= 2")
         p = Atom("p")
         negs = [Neg(Atom(f"q{i}")) for i in range(1, k + 1)]
-        out = reduce(Or, [Implies(Neg(p), g) for g in negs])
-        return Implies(Implies(Neg(p), reduce(Or, negs)), out)
+        out = big_or([Implies(Neg(p), g) for g in negs])
+        return Implies(Implies(Neg(p), big_or(negs)), out)
     if name == "dep":
         premises = [Atom(a) for a in params.get("premises", ())]
         target = Atom(params["target"])
         if not premises:
             raise ValueError("dep needs at least one premise atom")
-        ant = reduce(And, [Or(a, Neg(a)) for a in premises])
+        ant = big_and([Or(a, Neg(a)) for a in premises])
         return Implies(ant, Or(target, Neg(target)))
     raise ValueError(f"unknown axiom name {name!r}")
 
@@ -650,18 +651,21 @@ def sample_formulas(
     ops = [And, Or, Implies] + ([Tensor] if with_tensor else [])
     leaves: list[Formula] = [Bot(), Top()] + [Atom(a) for a in atom_names]
 
-    def gen(budget: int) -> Formula:
-        if budget < 3 or rnd.random() < 0.25:
-            return rnd.choice(leaves)
-        op = rnd.choice(ops)
-        left_size = rnd.randrange(1, budget - 1, 2)
-        return op(gen(left_size), gen(budget - 1 - left_size))
-
     seen: set[Formula] = set()
     out: list[Formula] = []
     while len(out) < count:
-        f = gen(max_size)
+        f = _random_formula(rnd, ops, leaves, max_size)
         if f not in seen:
             seen.add(f)
             out.append(f)
     return out
+
+
+def _random_formula(rnd: random.Random, ops, leaves, budget: int) -> Formula:
+    # a plain function: a closure that calls itself leaves a reference cycle
+    if budget < 3 or rnd.random() < 0.25:
+        return rnd.choice(leaves)
+    op = rnd.choice(ops)
+    left_size = rnd.randrange(1, budget - 1, 2)
+    left = _random_formula(rnd, ops, leaves, left_size)
+    return op(left, _random_formula(rnd, ops, leaves, budget - 1 - left_size))

@@ -347,15 +347,17 @@ def depth_width(P: FinitePoset) -> tuple[int, int]:
     # Dilworth via bipartite matching: width = n - max matching on i < j
     succ = [list(_bits(P.strict_up(i))) for i in range(n)]
     match_to = [-1] * n
-
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in succ[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_to[j] < 0 or augment(match_to[j], seen):
-                    match_to[j] = i
-                    return True
-        return False
-
-    matched = sum(augment(i, [False] * n) for i in range(n))
+    matched = sum(_augment(i, succ, match_to, [False] * n) for i in range(n))
     return depth, n - matched
+
+
+def _augment(i: int, succ: list[list[int]], match_to: list[int], seen: list[bool]) -> bool:
+    """Kuhn's step: look for an augmenting path from i. A plain function: a
+    closure that calls itself would leave a reference cycle per call."""
+    for j in succ[i]:
+        if not seen[j]:
+            seen[j] = True
+            if match_to[j] < 0 or _augment(match_to[j], succ, match_to, seen):
+                match_to[j] = i
+                return True
+    return False

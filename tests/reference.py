@@ -4,7 +4,8 @@ Team support enumerates subteams as the definitions read: an implication
 checks every subteam of the team, a tensor every way of writing the team
 as a union of two subteams. Algebra values recurse through the algebra's
 own operations. Join-irreducibles are found by sweeping primality over
-every pair of elements. All are slow and meant for small inputs only.
+every pair of elements. The tensor joins the core joins of all regular
+pairs below its arguments. All are slow and meant for small inputs only.
 """
 from __future__ import annotations
 
@@ -76,15 +77,28 @@ def team_valid(f, atom_names, k: int) -> bool:
 
 
 def eval_algebra(H, mu, f) -> int:
-    """Value of f in H under mu, through H's meet, join, imp and tensor."""
+    """Value of f in H under mu, through H's meet, join, imp and the regular-pair tensor."""
     if isinstance(f, Atom):
         return mu[f.name]
     if isinstance(f, Bot):
         return H.bot
     if isinstance(f, Top):
         return H.top
-    ops = {And: H.meet, Or: H.join, Implies: H.imp, Tensor: H.tensor_op}
+    ops = {And: H.meet, Or: H.join, Implies: H.imp, Tensor: lambda u, v: tensor(H, u, v)}
     return ops[type(f)](eval_algebra(H, mu, f.left), eval_algebra(H, mu, f.right))
+
+
+def tensor(H, u: int, v: int) -> int:
+    """u (+) v in H: the join of a +. b over regular a <= u and b <= v."""
+    got = 0
+    for a in H.regulars:
+        if a & ~u:
+            continue
+        for b in H.regulars:
+            if b & ~v:
+                continue
+            got |= H.core_join(a, b)
+    return got
 
 
 def join_irreducibles(H) -> list[int]:

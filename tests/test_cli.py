@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from esakialab.cli import run
 from esakialab.heyting import dual_algebra
-from esakialab.poset_core import make_delta0, make_ladder, make_medvedev, strong_regularization
+from esakialab.poset_core import (
+    FinitePoset,
+    make_delta0,
+    make_ladder,
+    make_medvedev,
+    strong_regularization,
+)
 
 
 @pytest.fixture()
@@ -184,6 +191,20 @@ def test_validate_team_with_too_many_atoms(capsys, written):
     )
     assert code == 2 and one_error_line(out, err)
     assert "more than k=2" in err
+
+
+def test_validate_team_skips_the_algebra(capsys, tmp_path):
+    # the upset algebra of a 22-point antichain has 2^22 elements; building
+    # it took about 25 s, and a wider antichain ran out of memory
+    wide = FinitePoset([f"x{i}" for i in range(22)], [])
+    path = tmp_path / "wide.json"
+    path.write_text(wide.to_json(), encoding="utf-8")
+    t0 = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "validate", str(path), "--formula", "p | ~p", "--team", "1"
+    )
+    assert (code, out, err) == (1, "team k=1: invalid\n", "")
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_validate_tensor_where_it_is_undefined(capsys, written):

@@ -12,7 +12,7 @@ from esakialab.jankov import (
     separating_formula,
 )
 from esakialab.logic import SweepGuardError, eval_algebra, format_formula
-from esakialab.poset_core import make_delta0, make_medvedev
+from esakialab.poset_core import depth_width, make_delta0, make_medvedev
 from esakialab.regularity import is_regular_bruteforce_morphism
 
 
@@ -63,6 +63,7 @@ def test_recursive_searches_leave_no_garbage(fork, fork_bundle):
         assert is_regular_bruteforce_morphism(M3)
         assert is_leq(fork, M3)
         assert jankov_refutation_check(M3, fork_bundle)
+        assert depth_width(M3) == (3, 3)
         garbage = gc.collect()
     finally:
         gc.enable()

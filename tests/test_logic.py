@@ -154,12 +154,15 @@ def test_eval_algebra_value(c2):
 def test_algebra_sweeps_leave_no_garbage():
     # a sweep that recurses through a closure leaves a reference cycle per call
     H = dual_algebra(make_medvedev(4))
+    f = parse("(p | q) -> (p | ~q)")
     gc.collect()
     gc.disable()
     try:
         assert is_valid(H, parse("p -> q -> p"))
         assert is_dna_valid(H, axiom_instances("KP"))
         assert eval_algebra(H, {"p": 0, "q": H.top}, parse("~p & q")) == H.top
+        assert len(dnf_inquisitive(f)) == 4
+        assert len(sample_formulas(["p"], 5, 10)) == 10
         garbage = gc.collect()
     finally:
         gc.enable()

@@ -5,7 +5,7 @@ import pytest
 import reference
 from corpus import posets_by_size
 
-from esakialab.heyting import _join_irreducibles, dual_algebra
+from esakialab.heyting import _join_irreducibles, dual_algebra, tensor_pointwise
 from esakialab.logic import (
     Team,
     atoms,
@@ -60,6 +60,22 @@ def test_eval_algebra_matches_reference_on_small_corpus():
                     assert eval_algebra(H, mu, f) == reference.eval_algebra(H, mu, f), (P, f)
                     checked += 1
     assert checked > 87 * 30 * 3
+
+
+def test_tensor_matches_regular_pairs_on_small_corpus():
+    pairs = defined = 0
+    for P in [P for level in posets_by_size(5) for P in level]:
+        H = dual_algebra(P)
+        gated = H.tensor_defined()
+        for u in H.elements:
+            for v in H.elements:
+                want = reference.tensor(H, u, v)
+                assert tensor_pointwise(P, u, v) == want, (P, u, v)
+                if gated:
+                    assert H.tensor_op(u, v) == want, (P, u, v)
+                    defined += 1
+                pairs += 1
+    assert (pairs, defined) == (11992, 2058)
 
 
 def test_join_irreducibles_match_primality_sweep(corpus7):
