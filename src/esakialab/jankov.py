@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .heyting import (
     FiniteHeytingAlgebra,
@@ -22,6 +23,9 @@ from .heyting import (
     is_regularly_generated,
 )
 from .logic import (
+    OP_AND,
+    OP_IMP,
+    OP_OR,
     And,
     Atom,
     Bot,
@@ -35,9 +39,9 @@ from .logic import (
     big_and,
     compile_formulas,
     format_formula,
+    refutes,
     stage_nodes,
     sweep_limit,
-    sweep_nodes,
 )
 from .poset_core import FinitePoset
 from .regularity import is_regular_structural, is_strongly_regular
@@ -47,29 +51,13 @@ from .regularity import is_regular_structural, is_strongly_regular
 MAX_ATOMS = 4
 
 
-class _SearchPlan(NamedTuple):
-    """The refutation sweep's schedule, fixed by the representatives.
-
-    atom_node and steps stage the representatives' nodes by the search's atom
-    order, as logic.stage_nodes does; conjuncts[d] are the table equations
-    (kind, node of a, node of b, node of the result) whose three sides
-    become known at level d.
-    """
-
-    size: int
-    atom_node: list[int]
-    steps: list[list[tuple[int, int, int, int]]]
-    conjuncts: list[list[tuple[int, int, int, int]]]
-    bot: tuple[int, int]  # (level, node) of psi_bot
-    second: tuple[int, int]  # (level, node) of psi_s
-
-
 @dataclass(frozen=True)
 class JankovBundle:
     """The characteristic formula of one algebra, with its parts exposed.
 
     representatives maps every element to its formula: a fresh atom for
     core elements, the generated-subalgebra witness term for the rest.
+    plan is chi's refutation search, as logic.refutes takes it.
     """
 
     source: FiniteHeytingAlgebra
@@ -78,7 +66,7 @@ class JankovBundle:
     second_greatest: int
     alpha: Formula
     chi: Formula
-    plan: _SearchPlan = field(repr=False, compare=False)
+    plan: tuple = field(repr=False, compare=False)
 
     def to_json(self) -> str:
         payload = {
@@ -192,81 +180,30 @@ def jankov_dna_formula(H: FiniteHeytingAlgebra, force: bool = False) -> JankovBu
     )
 
 
-def _search_plan(H: FiniteHeytingAlgebra, psi: dict[int, Formula], s: int) -> _SearchPlan:
-    prog = compile_formulas(psi[x] for x in H.elements)
+def _search_plan(H: FiniteHeytingAlgebra, psi: dict[int, Formula], s: int) -> tuple:
+    """chi's refutation search on the algebra of a rooted poset.
+
+    A biconditional contains the root iff its two sides agree on the whole
+    frame, so alpha's conjuncts become exact equations: the bottom clause
+    and one per operation table entry. The target is psi_s.
+    """
+    prog = compile_formulas([*(psi[x] for x in H.elements), Bot()])
     # the atoms of chi are those of the representatives; the atoms of psi_s
     # come first so the psi_s != top condition prunes early
     s_names = atoms(psi[s])
     order = s_names + tuple(sorted(set(prog.names) - set(s_names)))
     atom_node, steps, level = stage_nodes(prog, order)
-    root = dict(zip(H.elements, prog.roots))
-    conjuncts: list[list[tuple[int, int, int, int]]] = [[] for _ in steps]
-    for kind, fn in enumerate((H.meet, H.join, H.imp)):
+    *roots, bot = prog.roots
+    node = dict(zip(H.elements, roots))
+    table = [(OP_AND, node[H.bot], node[H.bot], bot)]  # psi_bot & psi_bot = bot
+    for op, fn in ((OP_AND, H.meet), (OP_OR, H.join), (OP_IMP, H.imp)):
         for a in H.elements:
             for b in H.elements:
-                ra, rb, rc = root[a], root[b], root[fn(a, b)]
-                conjuncts[max(level[ra], level[rb], level[rc])].append((kind, ra, rb, rc))
-    return _SearchPlan(
-        size=len(prog.nodes),
-        atom_node=atom_node,
-        steps=steps,
-        conjuncts=conjuncts,
-        bot=(level[root[H.bot]], root[H.bot]),
-        second=(level[root[s]], root[s]),
-    )
-
-
-def _refuted_at_root(
-    K: FiniteHeytingAlgebra, bundle: JankovBundle, budget: list[int], force: bool
-) -> bool:
-    """Search for a negative valuation putting K's root in alpha but not psi_s.
-
-    K must be the algebra of a rooted poset.  A biconditional contains the
-    root iff its two sides agree on the whole frame, so every alpha conjunct
-    becomes an exact equation and a branch dies on the first failed one.
-    The schedule comes from the bundle's plan.
-    """
-    values = [0] * bundle.plan.size
-    ops = (K.meet, K.join, K.imp)
-    return _refuted_from(K, ops, bundle.plan, values, budget, sweep_limit(), force, 0)
-
-
-def _refuted_from(
-    K: FiniteHeytingAlgebra,
-    ops: tuple,
-    plan: _SearchPlan,
-    values: list[int],
-    budget: list[int],
-    limit: int,
-    force: bool,
-    level: int,
-) -> bool:
-    """True iff valuing the atoms from ``level`` on can refute chi at K's
-    root. A plain function: a closure that calls itself would leave a
-    reference cycle for the collector on every root."""
-    sweep_nodes(K, plan.steps[level], values)
-    if level == plan.second[0] and values[plan.second[1]] == K.top:
-        return False
-    if level == plan.bot[0] and values[plan.bot[1]] != K.bot:
-        return False
-    for kind, a, b, c in plan.conjuncts[level]:
-        if ops[kind](values[a], values[b]) != values[c]:
-            return False
-    if level == len(plan.atom_node):
-        return True
-    atom = plan.atom_node[level]
-    for value in K.regulars:
-        budget[0] += 1
-        if budget[0] > limit and not force:
-            raise SweepGuardError(
-                f"jankov_refutation_check: search passed {limit} nodes (ESAKIA_MAX_SWEEP), of "
-                f"up to {len(K.regulars)}^{len(plan.atom_node)} valuations at this root; "
-                "pass force=True"
-            )
-        values[atom] = value
-        if _refuted_from(K, ops, plan, values, budget, limit, force, level + 1):
-            return True
-    return False
+                table.append((op, node[a], node[b], node[fn(a, b)]))
+    equations: list[list[tuple[int, int, int, int]]] = [[] for _ in steps]
+    for eq in table:
+        equations[max(level[i] for i in eq[1:])].append(eq)
+    return len(prog.nodes), atom_node, steps, equations, (level[node[s]], node[s])
 
 
 def jankov_refutation_check(
@@ -283,17 +220,19 @@ def jankov_refutation_check(
     Bpos mapping onto the source's dual); divergence would falsify the
     characteristic-formula theorem, so it is raised, not returned.
     """
-    budget = [0]
+    limit = sweep_limit()
+    budget = [math.inf if force else limit]
     refuted = False
-    tried: set[int] = set()
-    for i in range(len(Bpos)):
-        mask = Bpos.up[i]
-        if mask in tried:
-            continue
-        tried.add(mask)
+    for mask in dict.fromkeys(Bpos.up):
         K = dual_algebra(Bpos.induced(mask))
-        if _refuted_at_root(K, bundle, budget, force):
-            refuted = True
+        refuted = refutes(K, K.regulars, bundle.plan, budget)
+        if budget[0] < 0:
+            raise SweepGuardError(
+                f"jankov_refutation_check: search passed {limit} nodes (ESAKIA_MAX_SWEEP), of "
+                f"up to {len(K.regulars)}^{len(bundle.atom_names)} valuations at this root; "
+                "pass force=True"
+            )
+        if refuted:
             break
     structural = is_leq(dual_poset(bundle.source), Bpos)
     if refuted != structural:

@@ -8,6 +8,7 @@ two implications).
 """
 from __future__ import annotations
 
+import math
 import os
 import random
 import re
@@ -147,6 +148,17 @@ def big_or(parts: Sequence[Formula]) -> Formula:
 _ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _SYMBOLS = ("(+)", "<->", "->", "~", "&", "|", "(", ")")
 
+# symbol -> (precedence, node, right-associative); "~" is the one prefix symbol
+_GRAMMAR = {
+    "<->": (1, Iff, False),
+    "->": (2, Implies, True),
+    "|": (3, Or, False),
+    "(+)": (4, Tensor, False),
+    "&": (5, And, False),
+    "~": (6, Neg, True),
+}
+_NOT_BINARY = (-1, None, False)
+
 
 def _lex(text: str) -> list[tuple[str, str, int]]:
     out = []
@@ -191,46 +203,21 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {sym!r}", at)
 
     def parse(self) -> Formula:
-        f = self.iff()
+        f = self.binary(0)
         kind, val, at = self.peek()
         if kind != "end":
             raise FormulaSyntaxError(f"unexpected {val!r}", at)
         return f
 
-    def iff(self) -> Formula:
-        f = self.implies()
-        while self.peek()[:2] == ("sym", "<->"):
-            self.take()
-            f = Iff(f, self.implies())
-        return f
-
-    def implies(self) -> Formula:
-        f = self.disj()
-        if self.peek()[:2] == ("sym", "->"):
-            self.take()
-            return Implies(f, self.implies())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.tens()
-        while self.peek()[:2] == ("sym", "|"):
-            self.take()
-            f = Or(f, self.tens())
-        return f
-
-    def tens(self) -> Formula:
-        f = self.conj()
-        while self.peek()[:2] == ("sym", "(+)"):
-            self.take()
-            f = Tensor(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
+    def binary(self, floor: int) -> Formula:
+        """Precedence climbing over the binary symbols binding at least floor."""
         f = self.unary()
-        while self.peek()[:2] == ("sym", "&"):
+        while True:
+            prec, node, right = _GRAMMAR.get(self.peek()[1], _NOT_BINARY)
+            if prec < floor or node is Neg:
+                return f
             self.take()
-            f = And(f, self.unary())
-        return f
+            f = node(f, self.binary(prec if right else prec + 1))
 
     def unary(self) -> Formula:
         kind, val, at = self.peek()
@@ -246,7 +233,7 @@ class _Parser:
         if kind == "const":
             return Bot() if val == "bot" else Top()
         if (kind, val) == ("sym", "("):
-            f = self.iff()
+            f = self.binary(0)
             self.expect(")")
             return f
         raise FormulaSyntaxError(f"unexpected {val or 'end of input'!r}", at)
@@ -260,33 +247,32 @@ def parse(text: str) -> Formula:
         raise FormulaSyntaxError("formula nested too deeply", parser.peek()[2]) from None
 
 
-_PREC_IMPLIES, _PREC_OR, _PREC_TENSOR, _PREC_AND, _PREC_NEG = 2, 3, 4, 5, 6
-
-
-def _fmt(f: Formula, need: int) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Bot):
-        return "bot"
-    if isinstance(f, Top):
-        return "top"
-    if isinstance(f, Implies) and isinstance(f.right, Bot):
-        s, prec = "~" + _fmt(f.left, _PREC_NEG), _PREC_NEG
-    elif isinstance(f, And):
-        s, prec = f"{_fmt(f.left, _PREC_AND)} & {_fmt(f.right, _PREC_AND + 1)}", _PREC_AND
-    elif isinstance(f, Tensor):
-        s, prec = f"{_fmt(f.left, _PREC_TENSOR)} (+) {_fmt(f.right, _PREC_TENSOR + 1)}", _PREC_TENSOR
-    elif isinstance(f, Or):
-        s, prec = f"{_fmt(f.left, _PREC_OR)} | {_fmt(f.right, _PREC_OR + 1)}", _PREC_OR
-    else:
-        assert isinstance(f, Implies)
-        s, prec = f"{_fmt(f.left, _PREC_IMPLIES + 1)} -> {_fmt(f.right, _PREC_IMPLIES)}", _PREC_IMPLIES
-    return f"({s})" if prec < need else s
-
-
 def format_formula(f: Formula) -> str:
-    """Render with minimal parentheses; negation sugar is re-applied."""
-    return _fmt(f, 0)
+    """Render with minimal parentheses; negation sugar is re-applied.
+
+    Each distinct subformula is rendered once, in the compiled node order.
+    """
+    prog = compile_formulas([f])
+    shown: list[tuple[str, float]] = []  # per node: text, precedence
+    for op, a, b in prog.nodes:
+        if op == OP_ATOM:
+            text, prec = prog.names[a], math.inf
+        elif op < OP_AND:
+            text, prec = "bot" if op == OP_BOT else "top", math.inf
+        elif op == OP_IMP and prog.nodes[b][0] == OP_BOT:
+            prec = _GRAMMAR["~"][0]
+            text = "~" + _wrap(shown[a], prec)
+        else:
+            sym = _SYMBOL[op]
+            prec, _, right = _GRAMMAR[sym]
+            text = f"{_wrap(shown[a], prec + right)} {sym} {_wrap(shown[b], prec + (not right))}"
+        shown.append((text, prec))
+    return shown[prog.roots[0]][0]
+
+
+def _wrap(shown: tuple[str, float], need: int) -> str:
+    text, prec = shown
+    return f"({text})" if prec < need else text
 
 
 # -- compiled formulas -------------------------------------------------------
@@ -295,6 +281,7 @@ def format_formula(f: Formula) -> str:
 # left is its name's index in Program.names, a binary node's are operand nodes.
 _OPS = dict(zip((Atom, Bot, Top, And, Or, Implies, Tensor), range(7)))
 OP_ATOM, OP_BOT, OP_TOP, OP_AND, OP_OR, OP_IMP, OP_TENSOR = _OPS.values()
+_SYMBOL = {_OPS[node]: sym for sym, (_, node, _) in _GRAMMAR.items() if node in _OPS}
 
 
 class Program(NamedTuple):
@@ -409,17 +396,61 @@ def eval_algebra(H, mu, f: Formula) -> int:
     return values[prog.roots[0]]
 
 
-def _refutable(H, domain, atom_node, steps, values: list[int], root: int, level: int) -> bool:
-    """True iff valuing the atoms from level on over domain can send root
-    below top. A plain function: a closure that calls itself would leave a
-    reference cycle for the collector on every sweep."""
-    sweep_nodes(H, steps[level], values)
-    if level == len(atom_node):
-        return values[root] != H.top
+def refutes(H, domain: Sequence[int], plan, budget: list) -> bool:
+    """True iff some valuation of plan's atoms over domain makes each of its
+    equations hold and keeps its target below top.
+
+    plan is (size, atom_node, steps, equations, target): the node count and
+    the staging of stage_nodes; None or, per level, the equations
+    (op, a, b, c) with op in OP_AND, OP_OR, OP_IMP that must read
+    op(a, b) = c once the level is swept (level 0, fixed by no atom, holds
+    none); and the target's (level, node). A branch dies at its first
+    failed check.
+    Each value tried costs one unit of budget[0]; once it is spent the
+    search answers False, so a caller that finds budget[0] < 0 knows it
+    reached no verdict.
+    """
+    size, atom_node, steps, _, (at, target) = plan
+    values = [0] * size
+    sweep_nodes(H, steps[0], values)
+    if at == 0 and values[target] == H.top:
+        return False
+    return not atom_node or _refutes_from(H, domain, plan, values, budget, 0)
+
+
+def _refutes_from(H, domain, plan, values: list[int], budget: list, level: int) -> bool:
+    # The atoms below level are valued and their levels passed. Each value of
+    # atom level completes level + 1, which is swept and checked in this loop,
+    # so a leaf costs no call; above level 0 every node is binary. A plain
+    # function: a closure that calls itself leaves a reference cycle.
+    _, atom_node, steps, equations, (at, target) = plan
+    atom, child = atom_node[level], level + 1
+    stage, eqs = steps[child], equations[child] if equations else ()
+    aim = target if at == child else -1
+    last, top, imp, tensor = child == len(atom_node), H.top, H.imp, H.tensor_op
     for value in domain:
-        values[atom_node[level]] = value
-        if _refutable(H, domain, atom_node, steps, values, root, level + 1):
-            return True
+        budget[0] -= 1
+        if budget[0] < 0:
+            return False
+        values[atom] = value
+        for i, op, a, b in stage:
+            if op == OP_IMP:
+                values[i] = imp(values[a], values[b])
+            elif op == OP_AND:
+                values[i] = values[a] & values[b]
+            elif op == OP_OR:
+                values[i] = values[a] | values[b]
+            else:
+                values[i] = tensor(values[a], values[b])
+        if aim >= 0 and values[aim] == top:
+            continue
+        for op, a, b, c in eqs:
+            x, y = values[a], values[b]
+            if (x & y if op == OP_AND else x | y if op == OP_OR else imp(x, y)) != values[c]:
+                break
+        else:
+            if last or _refutes_from(H, domain, plan, values, budget, child):
+                return True
     return False
 
 
@@ -431,7 +462,8 @@ def _valid_over(H, prog: Program, domain: Sequence[int], force: bool, caller: st
             f"the budget of {sweep_limit()} (ESAKIA_MAX_SWEEP); pass force=True"
         )
     atom_node, steps, _ = stage_nodes(prog, prog.names)
-    return not _refutable(H, domain, atom_node, steps, [0] * len(prog.nodes), prog.roots[0], 0)
+    plan = (len(prog.nodes), atom_node, steps, None, (len(atom_node), prog.roots[0]))
+    return not refutes(H, domain, plan, [math.inf])
 
 
 def is_valid(H, f: Formula, force: bool = False) -> bool:
@@ -442,11 +474,11 @@ def is_valid(H, f: Formula, force: bool = False) -> bool:
 def is_dna_valid(H, f: Formula, force: bool = False) -> bool:
     """True iff f evaluates to 1 under every negative (regular-valued) valuation.
 
-    When H exposes component_algebras(), validity is checked on each factor;
-    a product algebra validates a formula iff every factor does.
+    Validity is checked on each of H's component algebras; a product algebra
+    validates a formula iff every factor does.
     """
     prog = compile_formulas([f])
-    parts = H.component_algebras() if hasattr(H, "component_algebras") else [H]
+    parts = H.component_algebras()
     return all(_valid_over(K, prog, K.regulars, force, "is_dna_valid") for K in parts)
 
 

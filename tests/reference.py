@@ -3,13 +3,16 @@
 Team support enumerates subteams as the definitions read: an implication
 checks every subteam of the team, a tensor every way of writing the team
 as a union of two subteams. Algebra values recurse through the algebra's
-own operations. Join-irreducibles are found by sweeping primality over
-every pair of elements. The tensor joins the core joins of all regular
-pairs below its arguments. All are slow and meant for small inputs only.
+own operations, and validity sweeps every valuation through them.
+Join-irreducibles are found by sweeping primality over every pair of
+elements. The tensor joins the core joins of all regular pairs below its
+arguments. All are slow and meant for small inputs only.
 """
 from __future__ import annotations
 
-from esakialab.logic import And, Atom, Bot, Implies, Or, Tensor, Top
+from itertools import product
+
+from esakialab.logic import And, Atom, Bot, Implies, Or, Tensor, Top, atoms
 
 
 def _subteams(team: int):
@@ -86,6 +89,15 @@ def eval_algebra(H, mu, f) -> int:
         return H.top
     ops = {And: H.meet, Or: H.join, Implies: H.imp, Tensor: lambda u, v: tensor(H, u, v)}
     return ops[type(f)](eval_algebra(H, mu, f.left), eval_algebra(H, mu, f.right))
+
+
+def is_valid(H, f, domain) -> bool:
+    """f evaluates to top under every valuation of its atoms into domain."""
+    names = atoms(f)
+    return all(
+        eval_algebra(H, dict(zip(names, values)), f) == H.top
+        for values in product(domain, repeat=len(names))
+    )
 
 
 def tensor(H, u: int, v: int) -> int:

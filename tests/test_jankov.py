@@ -3,15 +3,16 @@ import json
 
 import pytest
 
-from esakialab.heyting import dual_algebra, is_leq
+from esakialab.heyting import dual_algebra, is_leq, is_regularly_generated
 from esakialab.jankov import (
     MAX_ATOMS,
+    _root_index,
     antichain_verify,
     jankov_dna_formula,
     jankov_refutation_check,
     separating_formula,
 )
-from esakialab.logic import SweepGuardError, eval_algebra, format_formula
+from esakialab.logic import SweepGuardError, eval_algebra, format_formula, refutes
 from esakialab.poset_core import depth_width, make_delta0, make_medvedev
 from esakialab.regularity import is_regular_bruteforce_morphism
 
@@ -68,6 +69,26 @@ def test_recursive_searches_leave_no_garbage(fork, fork_bundle):
     finally:
         gc.enable()
     assert garbage == 0
+
+
+def test_refutation_search_work_is_pinned(corpus_levels, corpus5):
+    # every distinct principal upset of the <=5-point corpus is searched, with
+    # no early stop; the count of values tried catches any weakened pruning
+    sources = [
+        jankov_dna_formula(H, force=True)
+        for H in (dual_algebra(P) for level in corpus_levels[:4] for P in level)
+        if _root_index(H.base) is not None and is_regularly_generated(H)
+    ]
+    assert [len(bundle.atom_names) for bundle in sources] == [2, 4, 8]
+    checks = refuted = 0
+    budget = [10**6]
+    for bundle in sources:
+        for B in corpus5:
+            for mask in dict.fromkeys(B.up):
+                K = dual_algebra(B.induced(mask))
+                refuted += refutes(K, K.regulars, bundle.plan, budget)
+                checks += 1
+    assert (checks, refuted, 10**6 - budget[0]) == (1197, 476, 12012)
 
 
 def test_trivial_bundle_refuted_everywhere(p1, c2, fork, w3, diamond):

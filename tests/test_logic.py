@@ -213,6 +213,13 @@ def test_deep_negation_chain(c2):
     assert eval_algebra(H, {"p": m}, f) == eval_algebra(H, {"p": m}, short) == H.top
 
 
+def test_format_deep_negation_chain():
+    f = P
+    for _ in range(2000):
+        f = Neg(f)
+    assert format_formula(f) == "~" * 2000 + "p"
+
+
 def test_parse_rejects_runaway_nesting():
     with pytest.raises(FormulaSyntaxError, match="formula nested too deeply"):
         parse("~" * 1500 + "p")

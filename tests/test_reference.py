@@ -1,5 +1,6 @@
 """The fast paths against the literal reference routes."""
 import random
+from collections import Counter
 
 import pytest
 import reference
@@ -11,6 +12,8 @@ from esakialab.logic import (
     atoms,
     enumerate_formulas,
     eval_algebra,
+    is_dna_valid,
+    is_valid,
     sample_formulas,
     team_eval,
     team_valid,
@@ -60,6 +63,23 @@ def test_eval_algebra_matches_reference_on_small_corpus():
                     assert eval_algebra(H, mu, f) == reference.eval_algebra(H, mu, f), (P, f)
                     checked += 1
     assert checked > 87 * 30 * 3
+
+
+def test_validity_matches_reference_sweep(corpus5):
+    # the reference sweeps the whole algebra's regulars, so is_dna_valid's
+    # split into component algebras is checked too
+    plain = sample_formulas(["p"], 9, 20, seed=4) + sample_formulas(["p", "q"], 9, 20, seed=5)
+    tensor = sample_formulas(["p", "q"], 7, 20, seed=6, with_tensor=True)
+    verdicts = Counter()
+    for P in corpus5:
+        H = dual_algebra(P)
+        for f in plain + (tensor if H.tensor_defined() else []):
+            valid, dna = is_valid(H, f), is_dna_valid(H, f)
+            assert valid == reference.is_valid(H, f, H.elements), (P, f)
+            assert dna == reference.is_valid(H, f, H.regulars), (P, f)
+            verdicts[valid, dna] += 1
+    assert len(corpus5) == 87
+    assert verdicts == {(False, False): 1995, (False, True): 40, (True, True): 1625}
 
 
 def test_tensor_matches_regular_pairs_on_small_corpus():
