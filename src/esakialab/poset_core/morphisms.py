@@ -82,8 +82,9 @@ def iter_surjective_p_morphisms(P: FinitePoset, Q: FinitePoset) -> Iterator[PMor
     """Backtracking search for surjective p-morphisms P onto Q.
 
     Points are assigned top-down (a linear extension from the maximal
-    points), so monotonicity constraints and the back condition at a point
-    can both be checked exactly at assignment time.
+    points), so the points above x have their images when x is reached.
+    An image q is kept for x iff ``f(up(x)) = up(q)``: monotonicity at x
+    is the inclusion into ``up(q)``, and the back condition the reverse one.
     """
     n, m = len(P.points), len(Q.points)
     if n < m or m == 0:
@@ -105,15 +106,12 @@ def _extend(
         return
     i = order[pos]
     # everything strictly above i is already assigned
-    above = list(_bits(P.strict_up(i)))
+    above = 0
+    for j in _bits(P.strict_up(i)):
+        above |= 1 << assign[j]
     for q in range(m):
-        if any(not Q.up[q] >> assign[j] & 1 for j in above):
-            continue
-        image_up = 1 << q
-        for j in above:
-            image_up |= 1 << assign[j]
-        if Q.up[q] & ~image_up:
-            continue  # back condition at i can never be repaired later
+        if Q.up[q] != above | 1 << q:
+            continue  # f(up(i)) = up(f(i)) fails, and no later choice can mend it
         new_image = image | 1 << q
         if m - new_image.bit_count() > n - pos - 1:
             continue  # not enough points left to reach surjectivity

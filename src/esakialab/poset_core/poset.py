@@ -233,8 +233,19 @@ class FinitePoset:
 
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":
+        """Read ``{"points": [str], "leq": [[str, str]], "name": str}``; name is optional."""
         obj = json.loads(text)
-        return cls(obj["points"], [tuple(p) for p in obj["leq"]], name=obj.get("name") or None)
+        points, leq, name = obj["points"], obj["leq"], obj.get("name", "")
+        if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+            raise ValueError("points must be a list of strings")
+        if not isinstance(leq, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)
+            for pair in leq
+        ):
+            raise ValueError("each leq entry must be a list of two strings")
+        if not isinstance(name, str):
+            raise ValueError("name must be a string")
+        return cls(points, [tuple(p) for p in leq], name=name or None)
 
     def to_dot(self) -> str:
         # one edge per cover, drawn upward

@@ -205,7 +205,8 @@ def is_regular_bruteforce_morphism(P: FinitePoset) -> bool:
 
     Kernels are enumerated as set partitions, pruned first by the
     maximal-bijection requirement. A kernel whose induced relation has a
-    cycle has no poset image and is skipped.
+    cycle has no poset image and is skipped. Every kernel uses each of its
+    classes, so every collapse is onto its image.
     """
     n = len(P)
     if n > BRUTEFORCE_LIMIT:
@@ -225,8 +226,6 @@ def is_regular_bruteforce_morphism(P: FinitePoset) -> bool:
         except OrderConstructionError:
             continue
         f = PMorphism(P, Q, tuple(cls))
-        if not f.is_surjective:
-            continue
         if not validate_p_morphism(f):
             continue
         if source_max_blocks != set(_bits(Q.maximal_mask)):

@@ -6,13 +6,15 @@ as a union of two subteams. Algebra values recurse through the algebra's
 own operations, and validity sweeps every valuation through them.
 Join-irreducibles are found by sweeping primality over every pair of
 elements. The tensor joins the core joins of all regular pairs below its
-arguments. All are slow and meant for small inputs only.
+arguments. Surjective p-morphisms are found by sweeping every point map
+and validating each. All are slow and meant for small inputs only.
 """
 from __future__ import annotations
 
 from itertools import product
 
 from esakialab.logic import And, Atom, Bot, Implies, Or, Tensor, Top, atoms
+from esakialab.poset_core import PMorphism, validate_p_morphism
 
 
 def _subteams(team: int):
@@ -130,3 +132,13 @@ def join_irreducibles(H) -> list[int]:
         if prime:
             gens.append(a)
     return gens
+
+
+def surjective_p_morphisms(P, Q) -> list:
+    """Every surjective p-morphism P onto Q, sorted by mapping: a sweep over all maps."""
+    found = []
+    for mapping in product(range(len(Q)), repeat=len(P)):
+        f = PMorphism(P, Q, mapping)
+        if f.is_surjective and validate_p_morphism(f):
+            found.append(f)
+    return found

@@ -313,8 +313,12 @@ def test_file_errors(capsys, tmp_path, written):
     bad.write_text("{not json", encoding="utf-8")
     assert invoke(capsys, "dual", str(bad))[0] == 2
     shape = tmp_path / "shape.json"
-    shape.write_text('{"rows": []}', encoding="utf-8")
-    assert invoke(capsys, "dual", str(shape))[0] == 2
+    for text in ('{"rows": []}', *MALFORMED_POSETS):
+        shape.write_text(text, encoding="utf-8")
+        for cmd in ("dual", "dot"):
+            code, out, err = invoke(capsys, cmd, str(shape))
+            assert (code, out) == (2, ""), text
+            assert err.startswith("error:") and err.count("\n") == 1, text
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -333,7 +337,14 @@ def test_byte_determinism(capsys, written):
 # -- the exit-code contract on random input ------------------------------------
 
 POINTS = ("a", "b", "c", "d")
-BAD_POSETS = (
+# valid JSON with a string where a list belongs, or a label or name that is no string
+MALFORMED_POSETS = (
+    '{"points": "abc", "leq": ["ab", "bc"]}',
+    '{"points": ["a", "b"], "leq": ["ab"]}',
+    '{"points": [1, "1"], "leq": []}',
+    '{"points": ["a"], "leq": [], "name": 5}',
+)
+BAD_POSETS = MALFORMED_POSETS + (
     "{",
     "[]",
     '{"points": 3, "leq": []}',

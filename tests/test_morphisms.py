@@ -1,7 +1,8 @@
-import itertools
-
 import pytest
+import reference
 
+from esakialab.heyting import is_leq
+from esakialab.jankov import antichain_verify
 from esakialab.poset_core import (
     FinitePoset,
     PMorphism,
@@ -11,11 +12,13 @@ from esakialab.poset_core import (
     enumerate_surjective_p_morphisms,
     iter_surjective_p_morphisms,
     make_delta0,
+    make_delta1,
     make_ladder,
     p_morphism_violation,
     strong_regularization,
     validate_p_morphism,
 )
+from esakialab.poset_core import morphisms
 from esakialab.regularity import is_strongly_regular
 
 from corpus import canonical_key
@@ -58,13 +61,60 @@ def test_surjective_morphism_counts(p1, c2, c3, fork, a2):
             assert validate_p_morphism(f) and f.is_surjective
 
 
-def test_enumeration_matches_brute_force(c3, c2):
-    brute = 0
-    for m in itertools.product(range(2), repeat=3):
-        f = PMorphism(c3, c2, m)
-        if validate_p_morphism(f) and f.is_surjective:
-            brute += 1
-    assert brute == len(enumerate_surjective_p_morphisms(c3, c2)) == 2
+def test_enumeration_matches_brute_force(c3, c2, corpus5):
+    assert len(enumerate_surjective_p_morphisms(c3, c2)) == len(
+        reference.surjective_p_morphisms(c3, c2)
+    ) == 2
+    pairs = 0
+    for P in corpus5:
+        for Q in corpus5:
+            if len(Q) > 4 or len(Q) ** len(P) > 256:
+                continue
+            pairs += 1
+            assert enumerate_surjective_p_morphisms(P, Q) == reference.surjective_p_morphisms(
+                P, Q
+            ), (P.up, Q.up)
+    assert pairs == 1080
+
+
+def _reference_leq(A, B) -> bool:
+    """Some upset of B, found by testing every mask, has a reference surjection onto A."""
+    n = len(B)
+    for u in range(1 << n):
+        if any(B.up[i] & ~u for i in range(n) if u >> i & 1):
+            continue
+        if reference.surjective_p_morphisms(B.induced(u), A):
+            return True
+    return False
+
+
+def test_is_leq_matches_brute_force(corpus_levels):
+    small = [P for level in corpus_levels[:4] for P in level]
+    assert len(small) ** 2 == 576
+    for A in small:
+        for B in small:
+            assert is_leq(A, B) == _reference_leq(A, B), (A.up, B.up)
+
+
+def test_search_work_is_pinned(monkeypatch, corpus_levels):
+    # the search recurses through the module attribute, so every node is counted
+    calls = [0]
+    real = morphisms._extend
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(morphisms, "_extend", counting)
+    report = antichain_verify([make_delta1(n) for n in (3, 4, 5)])
+    assert report.is_antichain
+    assert calls[0] == 78401
+
+    calls[0] = 0
+    sources = [P for level in corpus_levels[:4] for P in level]
+    targets = [P for level in corpus_levels[:5] for P in level]
+    holds = sum(is_leq(A, B) for A in sources for B in targets)
+    assert (holds, calls[0]) == (638, 38730)
 
 
 def test_iterator_agrees_with_list(fork, c2):
