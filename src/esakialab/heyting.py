@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import and_, or_
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .logic import SweepGuardError, is_dna_valid, is_valid, ml_proxy_formulas, sweep_limit
 from .poset_core import FinitePoset, PointSet, downset_closure, iter_surjective_p_morphisms
@@ -367,42 +366,75 @@ def _submasks(mask: int):
 # -- subalgebra generation ----------------------------------------------------
 
 
-def close_under(
-    H: FiniteHeytingAlgebra,
-    seeds: Iterable[int],
-    ops: Sequence[Callable[[int, int], int]],
-) -> set[int]:
-    """The least set of elements of H holding seeds and closed under ops.
+def close_under(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> dict[int, int]:
+    """The meet/join/imp closure of seeds plus {0, 1}, staged by level.
 
-    Masks only: each element found is combined, in both argument orders,
-    with itself and every element found before it. The loop stops once
-    all of H is reached.
+    Level 0 is the meet/join closure of the seeds and bounds; level k+1
+    adds the implications of level k's set and closes again under meet
+    and join. Each element reached maps to the least level holding it.
+
+    Rounds are semi-naive: a meet/join round combines only the elements
+    new in the last round with all known ones, and an implication layer
+    only pairs that touch an element first reached at the level just
+    closed. imp(u, v) is top minus the downset of u & ~v, so each
+    distinct difference is looked up once. Upsets are the joins of the
+    principal upsets they hold, so once every up[i] is known the level
+    closes on all of H and the loop stops there. The pairs of every
+    round count against sweep_limit() before the round runs.
     """
-    known = set(seeds)
-    order = list(known)
-    full = len(H.elements)
-    # order grows while the loop reads it
-    for i, u in enumerate(order):
-        if len(known) == full:
-            break
-        for v in order[: i + 1]:
-            for fn in ops:
-                for w in (fn(u, v), fn(v, u)):
-                    if w not in known:
-                        known.add(w)
-                        order.append(w)
-    return known
+    ranks: dict[int, int] = {}
+    missing = set(H.base.up)
+    pairs = 0
+    level = 0
+    new = {*seeds, H.bot, H.top}
+    while True:
+        added: list[int] = []
+        while new:
+            for u in new:
+                ranks[u] = level
+            added += new
+            missing -= new
+            if not missing:
+                for u in H.elements:
+                    ranks.setdefault(u, level)
+                return ranks
+            pairs = _charge(pairs, len(new), len(ranks))
+            known = list(ranks)
+            new = {u & v for u in new for v in known} | {u | v for u in new for v in known}
+            new.difference_update(ranks)
+        pairs = _charge(pairs, len(added), len(ranks))
+        known = list(ranks)
+        diffs = list({u & ~v for u in added for v in known} | {v & ~u for u in added for v in known})
+        downs = [0] * len(diffs)
+        shift = 0
+        for table in H._down_tables:
+            downs = [down | table[d >> shift & _TABLE_MASK] for down, d in zip(downs, diffs)]
+            shift += _TABLE_BITS
+        new = {H.top & ~down for down in downs}
+        new.difference_update(ranks)
+        if not new:
+            return ranks
+        level += 1
+
+
+def _charge(pairs: int, fresh: int, known: int) -> int:
+    """The closure's pair count after a round of fresh x known pairs, held to sweep_limit()."""
+    total, limit = pairs + fresh * known, sweep_limit()
+    if total > limit:
+        raise SweepGuardError(
+            f"close_under: {pairs} pairs so far and {fresh} x {known} in the next round "
+            f"make {total}, more than the budget of {limit} (ESAKIA_MAX_SWEEP)"
+        )
+    return total
 
 
 def generated_subalgebra(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> tuple[int, ...]:
     """Close seeds plus {0, 1} under meet, join and imp, in canonical order."""
-    # meet and join are & and | on upset masks
-    members = close_under(H, {*seeds, H.bot, H.top}, (and_, or_, H.imp))
-    return tuple(sorted(members, key=H.index))
+    return tuple(sorted(close_under(H, seeds), key=H.index))
 
 
 def is_regularly_generated(H: FiniteHeytingAlgebra) -> bool:
-    return len(generated_subalgebra(H, H.regulars)) == len(H.elements)
+    return len(close_under(H, H.regulars)) == len(H.elements)
 
 
 # -- tensor, pointwise ---------------------------------------------------------

@@ -249,13 +249,18 @@ class FinitePoset:
 
     def to_dot(self) -> str:
         # one edge per cover, drawn upward
-        lines = [f'digraph "{self.name or "poset"}" {{', "  rankdir=BT;"]
+        lines = [f"digraph {_dot_quote(self.name or 'poset')} {{", "  rankdir=BT;"]
         for p in self.points:
-            lines.append(f'  "{p}";')
+            lines.append(f"  {_dot_quote(p)};")
         for a, b in self.cover_pairs():
-            lines.append(f'  "{a}" -> "{b}";')
+            lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot_quote(label: str) -> str:
+    """label as a quoted DOT ID: backslash and double quote are escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ over maximal-bijective p-morphic collapses. Tests pin their agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import and_, or_
 from typing import Iterator
 
 from .heyting import (
@@ -261,26 +260,12 @@ class RankTable:
 
 
 def rank_table(P: FinitePoset) -> RankTable:
-    """Staged closure: level 0 is the meet/join closure of the regular
-    upsets with the bounds; each next level adds one implication layer and
-    re-closes. The least level reaching an element is its rank."""
+    """The implication rank of each element the regular upsets generate:
+    the least level of close_under reaching it, where level 0 is the
+    meet/join closure of the regulars with the bounds and each next level
+    adds one implication layer."""
     H = dual_algebra(P)
-    meet_join = (and_, or_)
-    current = close_under(H, {*H.regulars, H.bot, H.top}, meet_join)
-    ranks = {u: 0 for u in current}
-    level = 0
-    while True:
-        grown = set(current)
-        for u in current:
-            for v in current:
-                grown.add(H.imp(u, v))
-        grown = close_under(H, grown, meet_join)
-        if grown == current:
-            return RankTable(H, ranks)
-        level += 1
-        for u in grown - current:
-            ranks[u] = level
-        current = grown
+    return RankTable(H, close_under(H, H.regulars))
 
 
 @dataclass(frozen=True)

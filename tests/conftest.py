@@ -56,6 +56,17 @@ def diamond():
     )
 
 
+@pytest.fixture
+def n6():
+    # not regularly generated: its regulars close on 12 of the 19 upsets,
+    # in 242 closure pairs over two levels
+    return FinitePoset(
+        ["x0", "x1", "x2", "x3", "x4", "x5"],
+        [("x0", "x3"), ("x0", "x4"), ("x0", "x5"), ("x1", "x3"), ("x1", "x5"), ("x2", "x4")],
+        name="N6",
+    )
+
+
 @pytest.fixture(scope="session")
 def corpus_levels():
     # one representative per isomorphism class, levels[k] has k+1 points

@@ -7,11 +7,16 @@ own operations, and validity sweeps every valuation through them.
 Join-irreducibles are found by sweeping primality over every pair of
 elements. The tensor joins the core joins of all regular pairs below its
 arguments. Surjective p-morphisms are found by sweeping every point map
-and validating each. All are slow and meant for small inputs only.
+and validating each. Subalgebras are closed pairwise: each element found
+is combined, in both argument orders, with itself and every element found
+before it, and the implication ranks re-run the whole meet/join closure
+and the full implication sweep at every level. All are slow and meant
+for small inputs only.
 """
 from __future__ import annotations
 
 from itertools import product
+from operator import and_, or_
 
 from esakialab.logic import And, Atom, Bot, Implies, Or, Tensor, Top, atoms
 from esakialab.poset_core import PMorphism, validate_p_morphism
@@ -142,3 +147,53 @@ def surjective_p_morphisms(P, Q) -> list:
         if f.is_surjective and validate_p_morphism(f):
             found.append(f)
     return found
+
+
+def close_under(H, seeds, ops) -> set[int]:
+    """The least set of elements of H holding seeds and closed under ops.
+
+    Masks only: each element found is combined, in both argument orders,
+    with itself and every element found before it. The loop stops once
+    all of H is reached.
+    """
+    known = set(seeds)
+    order = list(known)
+    full = len(H.elements)
+    # order grows while the loop reads it
+    for i, u in enumerate(order):
+        if len(known) == full:
+            break
+        for v in order[: i + 1]:
+            for fn in ops:
+                for w in (fn(u, v), fn(v, u)):
+                    if w not in known:
+                        known.add(w)
+                        order.append(w)
+    return known
+
+
+def generated_subalgebra(H, seeds) -> set[int]:
+    """seeds plus {0, 1} closed pairwise under meet, join and imp."""
+    return close_under(H, {*seeds, H.bot, H.top}, (and_, or_, H.imp))
+
+
+def rank_levels(H, seeds) -> dict[int, int]:
+    """Level 0 is the meet/join closure of seeds with the bounds; each next
+    level adds every implication of the last and re-closes. The least level
+    reaching an element is its rank."""
+    meet_join = (and_, or_)
+    current = close_under(H, {*seeds, H.bot, H.top}, meet_join)
+    ranks = {u: 0 for u in current}
+    level = 0
+    while True:
+        grown = set(current)
+        for u in current:
+            for v in current:
+                grown.add(H.imp(u, v))
+        grown = close_under(H, grown, meet_join)
+        if grown == current:
+            return ranks
+        level += 1
+        for u in grown - current:
+            ranks[u] = level
+        current = grown

@@ -111,6 +111,20 @@ def test_check_regular_small_poset_adds_morphism(capsys, written):
     assert out.startswith("regular: no (structural=no")
 
 
+def test_check_regular_closure_guard(capsys, tmp_path, n6, monkeypatch):
+    # N6's regulars close in 242 pairs
+    path = tmp_path / "n6.json"
+    path.write_text(n6.to_json(), encoding="utf-8")
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "241")
+    code, out, err = invoke(capsys, "check-regular", str(path))
+    assert code == 2 and one_error_line(out, err)
+    assert err.startswith("error: close_under: ")
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "242")
+    code, out, err = invoke(capsys, "check-regular", str(path))
+    assert code == 0 and err == ""
+    assert out.startswith("regular: no ")
+
+
 def test_check_regular_json(capsys, written):
     code, out, _ = invoke(capsys, "check-regular", written["D4"], "--json")
     assert code == 0

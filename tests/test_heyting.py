@@ -9,6 +9,7 @@ from esakialab.heyting import (
     TensorUndefinedError,
     boolean_core_iso_maximal,
     check_inqb_tensor_axioms,
+    close_under,
     dual_algebra,
     dual_poset,
     duality_counit,
@@ -188,6 +189,30 @@ def test_regular_generation_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_regular_generation_on_large_ladders(monkeypatch):
+    # every principal upset of R2@n is regular, so the closure stops at
+    # its seeds and tries no pair at all
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "0")
+    for n, size in ((5, 1873), (6, 7505)):
+        H = dual_algebra(make_ladder("R2", n))
+        assert len(H) == size
+        assert is_regularly_generated(H)
+
+
+def test_closure_pairs_are_guarded(n6, monkeypatch):
+    H = dual_algebra(n6)
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "241")
+    with pytest.raises(
+        SweepGuardError,
+        match=r"^close_under: .* make 242, more than the budget of 241 \(ESAKIA_MAX_SWEEP\)$",
+    ):
+        is_regularly_generated(H)
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "242")
+    ranks = close_under(H, H.regulars)
+    assert (len(ranks), len(H), max(ranks.values())) == (12, 19, 1)
+    assert not is_regularly_generated(H)
 
 
 def test_tensor_on_fork(fork):

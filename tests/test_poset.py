@@ -159,6 +159,23 @@ def test_dot_output(fork):
     assert dot.count("->") == 2
 
 
+def test_dot_escapes_quotes_and_backslashes(fork):
+    # labels without a quote or backslash print unescaped
+    assert fork.to_dot() == (
+        'digraph "V" {\n  rankdir=BT;\n  "r";\n  "a";\n  "b";\n  "r" -> "a";\n  "r" -> "b";\n}\n'
+    )
+    P = FinitePoset(['a"b', "c\\d", "e"], [('a"b', "e")], name='x"y')
+    assert P.to_dot() == (
+        'digraph "x\\"y" {\n'
+        "  rankdir=BT;\n"
+        '  "a\\"b";\n'
+        '  "c\\\\d";\n'
+        '  "e";\n'
+        '  "a\\"b" -> "e";\n'
+        "}\n"
+    )
+
+
 def test_canonical_key_invariant_under_relabeling():
     P = FinitePoset(["r", "a", "b"], [("r", "a"), ("r", "b")])
     Q = FinitePoset(["b", "r", "a"], [("r", "a"), ("r", "b")])

@@ -6,7 +6,14 @@ import pytest
 import reference
 from corpus import posets_by_size
 
-from esakialab.heyting import _join_irreducibles, dual_algebra, tensor_pointwise
+from esakialab.heyting import (
+    _join_irreducibles,
+    close_under,
+    dual_algebra,
+    generated_subalgebra,
+    is_regularly_generated,
+    tensor_pointwise,
+)
 from esakialab.logic import (
     Team,
     atoms,
@@ -18,7 +25,8 @@ from esakialab.logic import (
     team_eval,
     team_valid,
 )
-from esakialab.poset_core import make_delta0, make_delta1, make_medvedev
+from esakialab.poset_core import make_delta0, make_delta1, make_ladder, make_medvedev
+from esakialab.regularity import rank_table
 
 # the empty and one-world teams are covered by the random 3-atom teams
 ONE_ATOM_TEAMS = ([1], [0, 1])
@@ -103,4 +111,22 @@ def test_join_irreducibles_match_primality_sweep(corpus7):
     for P in corpus7 + named:
         H = dual_algebra(P)
         assert _join_irreducibles(H) == reference.join_irreducibles(H), P
+    assert len(corpus7) == 2450
+
+
+def test_staged_closure_matches_pairwise_reference(corpus7):
+    named = [make_medvedev(n) for n in (2, 3, 4)]
+    named += [make_delta0(n) for n in (1, 2, 3)] + [make_delta1(n) for n in (3, 4, 5)]
+    named += [make_ladder("R1", 8), make_ladder("R2", 3), make_ladder("R2", 4)]
+    rnd = random.Random(17)
+    for P in corpus7 + named:
+        H = dual_algebra(P)
+        levels = reference.rank_levels(H, H.regulars)
+        assert rank_table(P).ranks == levels, P
+        assert is_regularly_generated(H) == (len(levels) == len(H)), P
+        subsets = [rnd.sample(H.elements, min(len(H), rnd.randint(1, 3))) for _ in range(2)]
+        for seeds in (H.regulars, *subsets):
+            want = reference.generated_subalgebra(H, seeds)
+            assert close_under(H, seeds) == reference.rank_levels(H, seeds), (P, seeds)
+            assert generated_subalgebra(H, seeds) == tuple(sorted(want, key=H.index)), (P, seeds)
     assert len(corpus7) == 2450

@@ -197,6 +197,16 @@ def test_rank_table_memory_bound():
     assert peak < 250_000
 
 
+def test_rank_table_on_large_ladders(monkeypatch):
+    # the regulars of R2@n hold every principal upset: all of H at rank 0,
+    # with no closure pair tried
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "0")
+    for n, size in ((5, 1873), (6, 7505)):
+        rt = rank_table(make_ladder("R2", n))
+        assert len(rt.ranks) == len(rt.algebra) == size
+        assert rt.max_rank == 0
+
+
 def test_separation_equivalence_fixture_sweep(fork, diamond):
     F2 = make_delta0(2)
     for n in (0, 1, 2, None):
