@@ -86,6 +86,7 @@ class FiniteHeytingAlgebra:
         return u | v
 
     def imp(self, u: int, v: int) -> int:
+        # reads u & ~v alone, so imp(u, v) == imp(u & ~v, 0) for any masks
         d = u & ~v
         down = 0
         for table in self._down_tables:
@@ -365,6 +366,9 @@ def _submasks(mask: int):
 
 # -- subalgebra generation ----------------------------------------------------
 
+# differences an implication layer holds before their lookups, per element of H
+_DIFFS_HELD = 4
+
 
 def close_under(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> dict[int, int]:
     """The meet/join/imp closure of seeds plus {0, 1}, staged by level.
@@ -376,11 +380,13 @@ def close_under(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> dict[int, int]
     Rounds are semi-naive: a meet/join round combines only the elements
     new in the last round with all known ones, and an implication layer
     only pairs that touch an element first reached at the level just
-    closed. imp(u, v) is top minus the downset of u & ~v, so each
-    distinct difference is looked up once. Upsets are the joins of the
-    principal upsets they hold, so once every up[i] is known the level
-    closes on all of H and the loop stops there. The pairs of every
-    round count against sweep_limit() before the round runs.
+    closed. imp(u, v) is imp(u & ~v, 0), so the layer gathers the
+    distinct differences and looks each up once; at most _DIFFS_HELD * |H|
+    of them wait at a time, so memory stays O(|H|) whatever the pair
+    count. Upsets are the joins of the principal upsets they hold, so once
+    every up[i] is known the level closes on all of H and the loop stops
+    there. The pairs of every round count against sweep_limit() before the
+    round runs.
     """
     ranks: dict[int, int] = {}
     missing = set(H.base.up)
@@ -404,13 +410,15 @@ def close_under(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> dict[int, int]
             new.difference_update(ranks)
         pairs = _charge(pairs, len(added), len(ranks))
         known = list(ranks)
-        diffs = list({u & ~v for u in added for v in known} | {v & ~u for u in added for v in known})
-        downs = [0] * len(diffs)
-        shift = 0
-        for table in H._down_tables:
-            downs = [down | table[d >> shift & _TABLE_MASK] for down, d in zip(downs, diffs)]
-            shift += _TABLE_BITS
-        new = {H.top & ~down for down in downs}
+        imp, held = H.imp, _DIFFS_HELD * len(H)
+        new, diffs = set(), set()
+        for u in added:
+            diffs.update([u & ~v for v in known])
+            diffs.update([v & ~u for v in known])
+            if len(diffs) >= held:
+                new.update([imp(d, 0) for d in diffs])
+                diffs.clear()
+        new.update([imp(d, 0) for d in diffs])
         new.difference_update(ranks)
         if not new:
             return ranks

@@ -201,6 +201,28 @@ def test_regular_generation_on_large_ladders(monkeypatch):
         assert is_regularly_generated(H)
 
 
+def test_closure_memory_bound_on_a_non_generating_closure():
+    # four disjoint 4-chains: |H| = 625 but about 23 |H| convex sets, so the
+    # differences u & ~v outnumber H. These seeds close on 400 elements
+    # after meet/join and implication rounds; holding every distinct
+    # difference of a layer at once peaks at about 1.9 MB here
+    P = FinitePoset(
+        [f"c{i}{j}" for i in range(4) for j in range(4)],
+        [(f"c{i}{j}", f"c{i}{j + 1}") for i in range(4) for j in range(3)],
+    )
+    H = dual_algebra(P)
+    seeds = [H.elements[i] for i in (373, 66, 434, 313, 349)]
+    tracemalloc.start()
+    try:
+        ranks = close_under(H, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(H), len(ranks)) == (625, 400)
+    assert max(ranks.values()) > 0
+    assert peak < 800_000
+
+
 def test_closure_pairs_are_guarded(n6, monkeypatch):
     H = dual_algebra(n6)
     monkeypatch.setenv("ESAKIA_MAX_SWEEP", "241")
