@@ -201,15 +201,18 @@ def dual_poset(H: FiniteHeytingAlgebra) -> FinitePoset:
     a gets larger, so f_a <= f_b iff b <= a.
     """
     gens = _join_irreducibles(H)
-    labels = {a: f"f{H.index(a)}" for a in gens}
-    pairs = [
-        (labels[a], labels[b])
-        for a in gens
-        for b in gens
-        if a != b and H.leq(b, a)
-    ]
+    up = [_filters_containing(gens, a) for a in gens]
     name = f"pf({H.base.name})" if H.base.name else None
-    return FinitePoset([labels[a] for a in gens], pairs, name=name)
+    return FinitePoset._from_rows([f"f{H.index(a)}" for a in gens], up, name)
+
+
+def _filters_containing(gens: list[int], u: int) -> int:
+    """The prime filters containing u over dual_poset's points: bit j iff gens[j] <= u."""
+    mask = 0
+    for j, a in enumerate(gens):
+        if a & ~u == 0:
+            mask |= 1 << j
+    return mask
 
 
 def duality_unit(P: FinitePoset):
@@ -231,16 +234,7 @@ def duality_counit(H: FiniteHeytingAlgebra):
     (dual algebra of the dual poset, mapping of masks).
     """
     gens = _join_irreducibles(H)
-    Q = dual_poset(H)
-    K = dual_algebra(Q)
-    mapping = {}
-    for u in H.elements:
-        mask = 0
-        for a in gens:
-            if H.leq(a, u):
-                mask |= 1 << Q.index(f"f{H.index(a)}")
-        mapping[u] = mask
-    return K, mapping
+    return dual_algebra(dual_poset(H)), {u: _filters_containing(gens, u) for u in H.elements}
 
 
 def is_heyting_iso(
@@ -572,7 +566,7 @@ def is_leq(Apos: FinitePoset, Bpos: FinitePoset) -> bool:
     """True iff some upset of Bpos admits a surjective p-morphism onto Apos."""
     target = len(Apos)
     for u in Bpos.upsets():
-        if bin(u).count("1") < target:
+        if u.bit_count() < target:
             continue
         sub = Bpos.induced(u)
         for _ in iter_surjective_p_morphisms(sub, Apos):

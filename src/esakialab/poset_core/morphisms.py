@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .poset import FinitePoset, UnknownPointError, _bits, collapse
+from .poset import FinitePoset, UnknownPointError, _bits, _top_down, collapse
 
 
 class ReductionError(ValueError):
@@ -89,8 +89,7 @@ def iter_surjective_p_morphisms(P: FinitePoset, Q: FinitePoset) -> Iterator[PMor
     n, m = len(P.points), len(Q.points)
     if n < m or m == 0:
         return
-    order = sorted(range(n), key=lambda i: (P.up[i].bit_count(), i))
-    yield from _extend(P, Q, order, [-1] * n, 0, 0)
+    yield from _extend(P, Q, _top_down(P), [-1] * n, 0, 0)
 
 
 def _extend(
@@ -200,22 +199,19 @@ def strong_regularization(P: FinitePoset) -> tuple[FinitePoset, PMorphism]:
     base. P* always has pairwise distinct maximal-point traces.
     """
     existing = set(P.points)
-    starred: list[tuple[str, str]] = []
+    points, up, mapping = list(P.points), list(P.up), list(range(len(P.points)))
     for i, p in enumerate(P.points):
         if P.up[i] != 1 << i:
             star = p + "*"
             while star in existing:
                 star += "*"
             existing.add(star)
-            starred.append((p, star))
-    points = list(P.points) + [s for _, s in starred]
-    pairs = P.cover_pairs() + [(p, s) for p, s in starred]
-    result = FinitePoset(points, pairs, name=f"{P.name}*" if P.name else None)
-    assignment = {p: p for p in P.points}
-    for p, s in starred:
-        base = P.index(p)
-        assignment[s] = P.points[next(_bits(P.m_mask(base)))]
-    retraction = PMorphism.from_dict(result, P, assignment)
+            up[i] |= 1 << len(points)  # the star; closing puts it over all below i
+            points.append(star)
+            up.append(0)
+            mapping.append(next(_bits(P.m_mask(i))))
+    result = FinitePoset._from_rows(points, up, f"{P.name}*" if P.name else None)
+    retraction = PMorphism(result, P, tuple(mapping))
     if not validate_p_morphism(retraction):
         raise RuntimeError("star retraction failed validation; this is a bug")
     return result, retraction

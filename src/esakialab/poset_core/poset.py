@@ -47,20 +47,32 @@ class FinitePoset:
         name: str | None = None,
     ):
         pts = tuple(points)
-        if len(set(pts)) != len(pts):
-            raise OrderConstructionError("duplicate point labels")
         index = {p: i for i, p in enumerate(pts)}
-        n = len(pts)
-        up = [1 << i for i in range(n)]
+        up = [0] * len(pts)
         for a, b in pairs:
             if a not in index:
                 raise UnknownPointError(a)
             if b not in index:
                 raise UnknownPointError(b)
             up[index[a]] |= 1 << index[b]
-        # Floyd-Warshall reachability, one bitmask row per point
+        self._close(pts, index, up, name)
+
+    @classmethod
+    def _from_rows(cls, points: Sequence[str], up: Sequence[int], name: str | None = None):
+        """The poset with point i below the points of row ``up[i]``, closed as in ``__init__``."""
+        P = cls.__new__(cls)
+        P._close(points, {p: i for i, p in enumerate(points)}, list(up), name)
+        return P
+
+    def _close(self, pts: Sequence[str], index: dict[str, int], up: list[int], name: str | None):
+        """Close the rows in place, reject duplicate labels and cycles, fill every slot."""
+        n = len(pts)
+        if len(index) != n:
+            raise OrderConstructionError("duplicate point labels")
+        # Floyd-Warshall reachability, one bitmask row per point; row k spreads only at step k
         for k in range(n):
             bit = 1 << k
+            up[k] |= bit
             row = up[k]
             for i in range(n):
                 if up[i] & bit:
@@ -75,7 +87,7 @@ class FinitePoset:
         for i in range(n):
             for j in _bits(up[i]):
                 down[j] |= 1 << i
-        self.points = pts
+        self.points = tuple(pts)
         self.up = tuple(up)
         self.down = tuple(down)
         self.name = name
@@ -168,10 +180,9 @@ class FinitePoset:
 
     def upsets(self) -> list[int]:
         """All upward-closed subsets, as masks, in a fixed deterministic order."""
-        # smallest up-set first, so a point's strict up-set is decided before
-        # it; a mask without i is listed before the same mask with i
+        # a mask without i is listed before the same mask with i
         out = [0]
-        for i in sorted(range(len(self.points)), key=lambda i: (self.up[i].bit_count(), i)):
+        for i in _top_down(self):
             strict, bit = self.strict_up(i), 1 << i
             nxt = []
             for mask in out:
@@ -202,17 +213,14 @@ class FinitePoset:
             comps.append(comp)
         return comps
 
-    def induced(self, mask: int, name: str | None = None) -> "FinitePoset":
+    def induced(self, mask: int) -> "FinitePoset":
         """Subposet on the points of ``mask``, keeping label order."""
-        keep = [i for i in _bits(mask)]
-        pts = [self.points[i] for i in keep]
-        pairs = [
-            (self.points[i], self.points[j])
-            for i in keep
-            for j in _bits(self.up[i] & mask)
-            if i != j
-        ]
-        return FinitePoset(pts, pairs, name=name)
+        keep = list(_bits(mask))
+        bit = [0] * len(self.points)
+        for r, i in enumerate(keep):
+            bit[i] = 1 << r
+        rows = _renumbered([self.up[i] & mask for i in keep], bit)
+        return FinitePoset._from_rows([self.points[i] for i in keep], rows)
 
     # -- serialization --------------------------------------------------
 
@@ -288,18 +296,24 @@ def collapse(
     which is named ``labels[block_of[i]]``.
 
     A block lies below another when some member of the first lies below
-    some member of the second. The poset constructor closes that relation
-    and raises OrderConstructionError when it has a cycle.
+    some member of the second. The poset core closes that relation and
+    raises OrderConstructionError when it has a cycle.
     """
     reach = [0] * len(labels)
     for i, b in enumerate(block_of):
         reach[b] |= P.up[i]
-    pairs = [
-        (labels[a], labels[b])
-        for a, mask in enumerate(reach)
-        for b in {block_of[j] for j in _bits(mask)}
-    ]
-    return FinitePoset(labels, pairs, name=name)
+    return FinitePoset._from_rows(labels, _renumbered(reach, [1 << b for b in block_of]), name)
+
+
+def _renumbered(masks: Iterable[int], bit: Sequence[int]) -> list[int]:
+    """Each mask with the bit of its point j replaced by ``bit[j]``."""
+    rows = []
+    for mask in masks:
+        row = 0
+        for j in _bits(mask):
+            row |= bit[j]
+        rows.append(row)
+    return rows
 
 
 def _owned(P: FinitePoset, S: "PointSet | int") -> int:
@@ -341,12 +355,16 @@ def immediate_successors(P: FinitePoset, x: str) -> PointSet:
     return PointSet(P, P.covers_mask(P.index(x)))
 
 
+def _top_down(P: FinitePoset) -> list[int]:
+    """Points by up-set size: each comes after every point above it."""
+    return sorted(range(len(P.points)), key=lambda i: (P.up[i].bit_count(), i))
+
+
 def point_depths(P: FinitePoset) -> dict[str, int]:
     """Depth of each point: 0 for maximal points, else 1 + max over covers."""
     n = len(P.points)
-    order = sorted(range(n), key=lambda i: (P.up[i].bit_count(), i))
     depth = [0] * n
-    for i in order:
+    for i in _top_down(P):
         strict = P.strict_up(i)
         if strict:
             depth[i] = 1 + max(depth[j] for j in _bits(strict))

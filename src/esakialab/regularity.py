@@ -9,7 +9,7 @@ over maximal-bijective p-morphic collapses. Tests pin their agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .heyting import (
     FiniteHeytingAlgebra,
@@ -25,7 +25,7 @@ from .poset_core import (
     PMorphism,
     validate_p_morphism,
 )
-from .poset_core.poset import _bits, collapse
+from .poset_core.poset import _bits, _renumbered, collapse
 
 
 @dataclass(frozen=True)
@@ -76,26 +76,18 @@ def _classes_to_partition(P: FinitePoset, cls: list[int]) -> Partition:
     return Partition(P, tuple(blocks))
 
 
-def _sim0_classes(P: FinitePoset) -> list[int]:
+def _first_seen(sigs: Iterable[int]) -> list[int]:
+    """Each point's class: the rank of its signature's first appearance."""
     seen: dict[int, int] = {}
-    cls = []
-    for i in range(len(P)):
-        sig = P.m_mask(i)
-        if sig not in seen:
-            seen[sig] = len(seen)
-        cls.append(seen[sig])
-    return cls
+    return [seen.setdefault(sig, len(seen)) for sig in sigs]
+
+
+def _sim0_classes(P: FinitePoset) -> list[int]:
+    return _first_seen(P.m_mask(i) for i in range(len(P)))
 
 
 def _refine(P: FinitePoset, cls: list[int]) -> list[int]:
-    seen: dict[frozenset[int], int] = {}
-    out = []
-    for i in range(len(P)):
-        sig = frozenset(cls[j] for j in _bits(P.up[i]))
-        if sig not in seen:
-            seen[sig] = len(seen)
-        out.append(seen[sig])
-    return out
+    return _first_seen(_renumbered(P.up, [1 << c for c in cls]))
 
 
 def sim_n(P: FinitePoset, n: int) -> Partition:

@@ -10,6 +10,8 @@ from esakialab.heyting import (
     _join_irreducibles,
     close_under,
     dual_algebra,
+    dual_poset,
+    duality_counit,
     generated_subalgebra,
     is_regularly_generated,
     tensor_pointwise,
@@ -25,8 +27,18 @@ from esakialab.logic import (
     team_eval,
     team_valid,
 )
-from esakialab.poset_core import make_delta0, make_delta1, make_ladder, make_medvedev
-from esakialab.regularity import rank_table
+from esakialab.poset_core import (
+    FinitePoset,
+    PMorphism,
+    apply_reduction,
+    enumerate_reductions,
+    make_delta0,
+    make_delta1,
+    make_ladder,
+    make_medvedev,
+    strong_regularization,
+)
+from esakialab.regularity import quotient, rank_table, sim_infty, sim_n
 
 # the empty and one-world teams are covered by the random 3-atom teams
 ONE_ATOM_TEAMS = ([1], [0, 1])
@@ -130,3 +142,45 @@ def test_staged_closure_matches_pairwise_reference(corpus7):
             assert close_under(H, seeds) == reference.rank_levels(H, seeds), (P, seeds)
             assert generated_subalgebra(H, seeds) == tuple(sorted(want, key=H.index)), (P, seeds)
     assert len(corpus7) == 2450
+
+
+def _assert_label_constructor_agrees(Q):
+    # the label-pair constructor, fed Q's own covers, is the reference
+    R = FinitePoset(Q.points, Q.cover_pairs(), name=Q.name)
+    got = (Q.points, Q.up, Q.down, Q.maximal_mask, Q.name)
+    assert got == (R.points, R.up, R.down, R.maximal_mask, R.name), Q
+
+
+def test_row_built_posets_match_the_label_constructor(corpus7):
+    named = [make_medvedev(n) for n in (2, 3, 4)] + [make_delta0(n) for n in (1, 2)]
+    named += [make_delta1(n) for n in (3, 4)] + [make_ladder(k, 4) for k in ("R0", "R1", "R2")]
+    reductions = 0
+    for P in corpus7 + named:
+        H = dual_algebra(P)
+        Q = dual_poset(H)
+        _assert_label_constructor_agrees(Q)
+        gens = _join_irreducibles(H)
+        _, counit = duality_counit(H)
+        for u in H.elements:
+            want = 0
+            for a in gens:
+                if H.leq(a, u):
+                    want |= 1 << Q.index(f"f{H.index(a)}")
+            assert counit[u] == want, (P, u)
+        _assert_label_constructor_agrees(quotient(P, sim_infty(P)))
+        _assert_label_constructor_agrees(quotient(P, sim_n(P, 0)))
+        star, retraction = strong_regularization(P)
+        _assert_label_constructor_agrees(star)
+        assignment = {p: p for p in P.points}
+        for i, p in enumerate(P.points):
+            if P.strict_up(i):
+                least_max = min(j for j in range(len(P)) if P.m_mask(i) >> j & 1)
+                assignment[p + "*"] = P.points[least_max]
+        assert retraction.mapping == PMorphism.from_dict(star, P, assignment).mapping, P
+        for mask in P.components() + list(dict.fromkeys(P.up)):
+            _assert_label_constructor_agrees(P.induced(mask))
+        if len(P) <= 5 and P.name is None:
+            for kind, x, y in enumerate_reductions(P):
+                _assert_label_constructor_agrees(apply_reduction(P, kind, x, y)[0])
+                reductions += 1
+    assert len(corpus7) == 2450 and reductions == 539
