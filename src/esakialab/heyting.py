@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .logic import SweepGuardError, is_dna_valid, is_valid, ml_proxy_formulas, sweep_limit
-from .poset_core import FinitePoset, PointSet, downset_closure, iter_surjective_p_morphisms
+from .poset_core import FinitePoset, PointSet, downset_closure, is_leq  # is_leq: re-exported
 
 # imp reads downsets a byte of the mask at a time
 _TABLE_BITS = 8
@@ -22,17 +22,12 @@ class TensorUndefinedError(RuntimeError):
     """Tensor was requested on an algebra outside its precondition."""
 
 
-def _mask_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    bits = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-    return (len(bits), bits)
-
-
 class FiniteHeytingAlgebra:
     """The algebra of all upsets of a finite poset.
 
     meet/join are intersection/union; u -> v is the complement of the
-    downset of u minus v. Elements are listed in a canonical order: by
-    size, then by member point indices.
+    downset of u minus v. Elements are listed in the canonical order of
+    ``FinitePoset.upsets()``.
     """
 
     __slots__ = (
@@ -49,7 +44,7 @@ class FiniteHeytingAlgebra:
 
     def __init__(self, base: FinitePoset):
         self.base = base
-        self.elements: tuple[int, ...] = tuple(sorted(base.upsets(), key=_mask_key))
+        self.elements: tuple[int, ...] = tuple(base.upsets())
         self.top: int = base.full_mask
         self._index = {u: i for i, u in enumerate(self.elements)}
         self._down_tables = _down_tables(base)
@@ -200,7 +195,11 @@ def dual_poset(H: FiniteHeytingAlgebra) -> FinitePoset:
     by the element with canonical index i; the filter of a gets smaller as
     a gets larger, so f_a <= f_b iff b <= a.
     """
-    gens = _join_irreducibles(H)
+    return _prime_filter_poset(H, _join_irreducibles(H))
+
+
+def _prime_filter_poset(H: FiniteHeytingAlgebra, gens: list[int]) -> FinitePoset:
+    """dual_poset(H) over the join-irreducibles ``gens`` of H."""
     up = [_filters_containing(gens, a) for a in gens]
     name = f"pf({H.base.name})" if H.base.name else None
     return FinitePoset._from_rows([f"f{H.index(a)}" for a in gens], up, name)
@@ -234,7 +233,8 @@ def duality_counit(H: FiniteHeytingAlgebra):
     (dual algebra of the dual poset, mapping of masks).
     """
     gens = _join_irreducibles(H)
-    return dual_algebra(dual_poset(H)), {u: _filters_containing(gens, u) for u in H.elements}
+    Q = _prime_filter_poset(H, gens)
+    return dual_algebra(Q), {u: _filters_containing(gens, u) for u in H.elements}
 
 
 def is_heyting_iso(
@@ -299,7 +299,7 @@ def regular_upsets(P: FinitePoset) -> list[int]:
     """
     full = P.full_mask
     out = []
-    for u in sorted(P.upsets(), key=_mask_key):
+    for u in P.upsets():
         cl = downset_closure(P, u)
         interior = full & ~downset_closure(P, full & ~cl)
         if interior == u:
@@ -557,18 +557,3 @@ def check_inqb_tensor_axioms(P: FinitePoset) -> TensorAxiomReport:
                             ((x, z, y, k), (conj, rhs))
                         )
     return report
-
-
-# -- the algebra preorder -----------------------------------------------------
-
-
-def is_leq(Apos: FinitePoset, Bpos: FinitePoset) -> bool:
-    """True iff some upset of Bpos admits a surjective p-morphism onto Apos."""
-    target = len(Apos)
-    for u in Bpos.upsets():
-        if u.bit_count() < target:
-            continue
-        sub = Bpos.induced(u)
-        for _ in iter_surjective_p_morphisms(sub, Apos):
-            return True
-    return False

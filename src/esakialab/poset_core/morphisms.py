@@ -79,29 +79,42 @@ def validate_p_morphism(f: PMorphism) -> bool:
 
 
 def iter_surjective_p_morphisms(P: FinitePoset, Q: FinitePoset) -> Iterator[PMorphism]:
-    """Backtracking search for surjective p-morphisms P onto Q.
-
-    Points are assigned top-down (a linear extension from the maximal
-    points), so the points above x have their images when x is reached.
-    An image q is kept for x iff ``f(up(x)) = up(q)``: monotonicity at x
-    is the inclusion into ``up(q)``, and the back condition the reverse one.
-    """
+    """Backtracking search for surjective p-morphisms P onto Q."""
     n, m = len(P.points), len(Q.points)
     if n < m or m == 0:
         return
-    yield from _extend(P, Q, _top_down(P), [-1] * n, 0, 0)
+    for assign in _extend(P, Q, _top_down(P), [-1] * n, 0, 0):
+        yield PMorphism(P, Q, tuple(assign))
+
+
+def is_leq(Apos: FinitePoset, Bpos: FinitePoset) -> bool:
+    """True iff some upset of Bpos admits a surjective p-morphism onto Apos.
+    An upset holds every point above its own, so it is searched on Bpos's rows."""
+    m = len(Apos.points)
+    if m == 0:
+        return False
+    order, assign = _top_down(Bpos), [-1] * len(Bpos.points)
+    for u in Bpos.upsets():
+        if u.bit_count() < m:
+            continue
+        for _ in _extend(Bpos, Apos, [i for i in order if u >> i & 1], assign, 0, 0):
+            return True
+    return False
 
 
 def _extend(
     P: FinitePoset, Q: FinitePoset, order: list[int], assign: list[int], pos: int, image: int
-) -> Iterator[PMorphism]:
-    """Surjective p-morphisms extending ``assign`` on ``order[:pos]``, whose
-    image so far is ``image``. A plain function: a closure that calls itself
-    would leave a reference cycle for the collector on every search."""
+) -> Iterator[list[int]]:
+    """Yield ``assign`` once per surjective p-morphism onto Q from the upset
+    ``order`` of P, which lists it top-down: the points above x have their
+    images when x is reached. An image q is kept for x iff f(up(x)) = up(q):
+    monotonicity at x is the inclusion into up(q), and the back condition
+    the reverse one. A plain function: a closure that calls itself would
+    leave a reference cycle for the collector on every search."""
     n, m = len(order), len(Q.points)
     if pos == n:
         if image == Q.full_mask:
-            yield PMorphism(P, Q, tuple(assign))
+            yield assign
         return
     i = order[pos]
     # everything strictly above i is already assigned
@@ -116,14 +129,11 @@ def _extend(
             continue  # not enough points left to reach surjectivity
         assign[i] = q
         yield from _extend(P, Q, order, assign, pos + 1, new_image)
-        assign[i] = -1
 
 
 def enumerate_surjective_p_morphisms(P: FinitePoset, Q: FinitePoset) -> list[PMorphism]:
     """All surjective p-morphisms P onto Q, sorted by their mapping tuple."""
-    found = list(iter_surjective_p_morphisms(P, Q))
-    found.sort(key=lambda f: f.mapping)
-    return found
+    return sorted(iter_surjective_p_morphisms(P, Q), key=lambda f: f.mapping)
 
 
 def _alpha_condition(P: FinitePoset, xi: int, yi: int) -> bool:

@@ -77,25 +77,25 @@ class FinitePoset:
             for i in range(n):
                 if up[i] & bit:
                     up[i] |= row
-        for i in range(n):
-            for j in _bits(up[i] & ~((1 << (i + 1)) - 1)):
-                if up[j] >> i & 1:
-                    raise OrderConstructionError(
-                        f"cycle between {pts[i]!r} and {pts[j]!r}"
-                    )
         down = [0] * n
         for i in range(n):
             for j in _bits(up[i]):
                 down[j] |= 1 << i
+        # the least point on a cycle has only larger partners, so the pair
+        # named is the one a walk over the up-rows for i < j finds first
+        maximal = 0
+        for i in range(n):
+            cycle = up[i] & down[i] & ~(1 << i)
+            if cycle:
+                j = next(_bits(cycle))
+                raise OrderConstructionError(f"cycle between {pts[i]!r} and {pts[j]!r}")
+            if up[i] == 1 << i:
+                maximal |= 1 << i
         self.points = tuple(pts)
         self.up = tuple(up)
         self.down = tuple(down)
         self.name = name
         self._index = index
-        maximal = 0
-        for i in range(n):
-            if up[i] == 1 << i:
-                maximal |= 1 << i
         self._maximal = maximal
         # finite posets always have a maximal point above every point
         assert all(up[i] & maximal for i in range(n))
@@ -179,17 +179,20 @@ class FinitePoset:
         return self.up_mask_of(mask) == mask
 
     def upsets(self) -> list[int]:
-        """All upward-closed subsets, as masks, in a fixed deterministic order."""
-        # a mask without i is listed before the same mask with i
-        out = [0]
-        for i in _top_down(self):
-            strict, bit = self.strict_up(i), 1 << i
-            nxt = []
-            for mask in out:
-                nxt.append(mask)
-                if strict & ~mask == 0:
-                    nxt.append(mask | bit)
-            out = nxt
+        """All upward-closed subsets, as masks, in canonical order: by size, and
+        at one size the set holding the least point where two differ first."""
+        # decide points in index order, "in" first (both are always feasible)
+        out, stack, full = [], [(0, 0)], self.full_mask
+        while stack:
+            inside, outside = stack.pop()
+            free = full & ~(inside | outside)
+            if not free:
+                out.append(inside)
+                continue
+            i = (free & -free).bit_length() - 1
+            stack.append((inside, outside | self.down[i]))
+            stack.append((inside | self.up[i], outside))
+        out.sort(key=int.bit_count)
         return out
 
     def components(self) -> list[int]:

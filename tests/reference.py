@@ -7,11 +7,15 @@ own operations, and validity sweeps every valuation through them.
 Join-irreducibles are found by sweeping primality over every pair of
 elements. The tensor joins the core joins of all regular pairs below its
 arguments. Surjective p-morphisms are found by sweeping every point map
-and validating each. Subalgebras are closed pairwise: each element found
-is combined, in both argument orders, with itself and every element found
-before it, and the implication ranks re-run the whole meet/join closure
-and the full implication sweep at every level. All are slow and meant
-for small inputs only.
+and validating each. Upsets are enumerated top-down, each point doubling
+the list with the masks it may join, then sorted by size and member tuple.
+A cycle is the first pair i < j, walking i upward and j along i's
+up-row, that reach each other under a closure repeated until it is
+stable. Subalgebras are closed pairwise: each element found is combined,
+in both argument orders, with itself and every element found before it,
+and the implication ranks re-run the whole meet/join closure and the
+full implication sweep at every level. All are slow and meant for small
+inputs only.
 """
 from __future__ import annotations
 
@@ -197,3 +201,44 @@ def rank_levels(H, seeds) -> dict[int, int]:
         for u in grown - current:
             ranks[u] = level
         current = grown
+
+
+def upsets(P) -> list[int]:
+    """Every upset of P: by size, then by the tuple of member indices."""
+    out = [0]
+    for i in sorted(range(len(P)), key=lambda i: (P.up[i].bit_count(), i)):
+        strict, bit = P.up[i] & ~(1 << i), 1 << i
+        nxt = []
+        for mask in out:
+            nxt.append(mask)
+            if strict & ~mask == 0:
+                nxt.append(mask | bit)
+        out = nxt
+    return sorted(out, key=_mask_key)
+
+
+def _mask_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    bits = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return (len(bits), bits)
+
+
+def first_cycle(n: int, pairs) -> tuple[int, int] | None:
+    """The first (i, j), i < j, with i <= j <= i once the index pairs are closed."""
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        up[a] |= 1 << b
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            row = up[i]
+            for j in range(n):
+                if row >> j & 1:
+                    row |= up[j]
+            if row != up[i]:
+                up[i], changed = row, True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if up[i] >> j & 1 and up[j] >> i & 1:
+                return (i, j)
+    return None

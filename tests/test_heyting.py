@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from esakialab import heyting
 from esakialab.heyting import (
     FiniteHeytingAlgebra,
     TensorUndefinedError,
@@ -189,6 +190,33 @@ def test_regular_generation_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_algebra_construction_memory_bound():
+    # a 16-point antichain has 65,536 upsets; sorting them by a key that
+    # builds a tuple of member indices per upset peaks at about 15 MB here
+    P = FinitePoset([f"a{i}" for i in range(16)])
+    tracemalloc.start()
+    try:
+        H = FiniteHeytingAlgebra(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(H) == 1 << 16
+    assert peak < 10_000_000
+
+
+def test_counit_finds_the_join_irreducibles_once(monkeypatch):
+    calls = [0]
+    real = heyting._join_irreducibles
+
+    def counting(H):
+        calls[0] += 1
+        return real(H)
+
+    monkeypatch.setattr(heyting, "_join_irreducibles", counting)
+    duality_counit(dual_algebra(make_ladder("R2", 3)))
+    assert calls[0] == 1
 
 
 def test_regular_generation_on_large_ladders(monkeypatch):

@@ -1,6 +1,7 @@
 import pytest
 import reference
 
+from esakialab import cli, heyting, jankov
 from esakialab.heyting import is_leq
 from esakialab.jankov import antichain_verify
 from esakialab.poset_core import (
@@ -114,7 +115,13 @@ def test_search_work_is_pinned(monkeypatch, corpus_levels):
     sources = [P for level in corpus_levels[:4] for P in level]
     targets = [P for level in corpus_levels[:5] for P in level]
     holds = sum(is_leq(A, B) for A in sources for B in targets)
-    assert (holds, calls[0]) == (638, 38730)
+    assert (holds, calls[0]) == (638, 38211)
+
+
+def test_is_leq_is_the_search_module_function(c2):
+    assert heyting.is_leq is jankov.is_leq is cli.is_leq is morphisms.is_leq
+    empty = FinitePoset([])
+    assert not is_leq(empty, c2) and not is_leq(empty, empty)
 
 
 def test_iterator_agrees_with_list(fork, c2):

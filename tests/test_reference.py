@@ -29,6 +29,7 @@ from esakialab.logic import (
 )
 from esakialab.poset_core import (
     FinitePoset,
+    OrderConstructionError,
     PMorphism,
     apply_reduction,
     enumerate_reductions,
@@ -184,3 +185,35 @@ def test_row_built_posets_match_the_label_constructor(corpus7):
                 _assert_label_constructor_agrees(apply_reduction(P, kind, x, y)[0])
                 reductions += 1
     assert len(corpus7) == 2450 and reductions == 539
+
+
+def test_upsets_come_in_canonical_order(corpus7):
+    named = [make_medvedev(4), make_delta0(3), make_delta1(5), make_ladder("R2", 6)]
+    # listed top first, so the "in" branch runs 1100 points deep
+    chain = FinitePoset(
+        [f"c{i}" for i in range(1100)], [(f"c{i + 1}", f"c{i}") for i in range(1099)]
+    )
+    for P in corpus7 + named + [chain]:
+        assert P.upsets() == reference.upsets(P), P
+    assert len(corpus7) == 2450
+
+
+def test_cycle_messages_match_the_up_row_walk():
+    rnd = random.Random(29)
+    outcomes = Counter()
+    for _ in range(4000):
+        n = rnd.randint(1, 7)
+        pts = rnd.sample([f"p{k}" for k in range(10)], n)
+        pairs = [(rnd.randrange(n), rnd.randrange(n)) for _ in range(rnd.randint(0, 2 * n))]
+        cycle = reference.first_cycle(n, pairs)
+        try:
+            FinitePoset(pts, [(pts[a], pts[b]) for a, b in pairs])
+            message = None
+        except OrderConstructionError as err:
+            message = str(err)
+        want = None
+        if cycle:
+            want = f"cycle between {pts[cycle[0]]!r} and {pts[cycle[1]]!r}"
+        assert message == want, (pts, pairs)
+        outcomes[want is None] += 1
+    assert min(outcomes.values()) > 1000, outcomes
