@@ -57,7 +57,8 @@ class JankovBundle:
 
     representatives maps every element to its formula: a fresh atom for
     core elements, the generated-subalgebra witness term for the rest.
-    plan is chi's refutation search, as logic.refutes takes it.
+    plan is chi's refutation search, as logic.refutes takes it. dual is the
+    source's dual poset, built once for the refutation check's cross-check.
     """
 
     source: FiniteHeytingAlgebra
@@ -67,6 +68,7 @@ class JankovBundle:
     alpha: Formula
     chi: Formula
     plan: tuple = field(repr=False, compare=False)
+    dual: FinitePoset = field(repr=False, compare=False)
 
     def to_json(self) -> str:
         payload = {
@@ -177,6 +179,7 @@ def jankov_dna_formula(H: FiniteHeytingAlgebra, force: bool = False) -> JankovBu
         alpha=alpha,
         chi=chi,
         plan=_search_plan(H, psi, s),
+        dual=dual_poset(H),
     )
 
 
@@ -234,7 +237,7 @@ def jankov_refutation_check(
             )
         if refuted:
             break
-    structural = is_leq(dual_poset(bundle.source), Bpos)
+    structural = is_leq(bundle.dual, Bpos)
     if refuted != structural:
         raise RuntimeError(
             f"refutation sweep ({refuted}) disagrees with the divisibility "

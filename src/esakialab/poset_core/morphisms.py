@@ -89,17 +89,43 @@ def iter_surjective_p_morphisms(P: FinitePoset, Q: FinitePoset) -> Iterator[PMor
 
 def is_leq(Apos: FinitePoset, Bpos: FinitePoset) -> bool:
     """True iff some upset of Bpos admits a surjective p-morphism onto Apos.
-    An upset holds every point above its own, so it is searched on Bpos's rows."""
+
+    If f maps an upset onto Apos, pick one preimage of each minimal point of
+    Apos: f restricted to the upset they generate is still a p-morphism, and
+    its image, an upset holding every minimal point, is all of Apos. So only
+    the upsets generated by at most k points are tried, k the number of
+    minimal points; for a rooted Apos, the principal upsets. An upset holds
+    every point above its own, so it is searched on Bpos's rows."""
     m = len(Apos.points)
     if m == 0:
         return False
+    k = sum(row == 1 << i for i, row in enumerate(Apos.down))
     order, assign = _top_down(Bpos), [-1] * len(Bpos.points)
-    for u in Bpos.upsets():
+    for u in _generated_upsets(Bpos, k):
         if u.bit_count() < m:
             continue
         for _ in _extend(Bpos, Apos, [i for i in order if u >> i & 1], assign, 0, 0):
             return True
     return False
+
+
+def _generated_upsets(P: FinitePoset, k: int) -> list[int]:
+    """The distinct upsets of P generated by at most k points, stably by size.
+
+    Round r ORs the sets first found in round r - 1 with every principal
+    upset; older sets gave theirs in earlier rounds. Stops after k rounds
+    or at a fixed point."""
+    found = dict.fromkeys([0])
+    frontier = [0]
+    for _ in range(k):
+        size = len(found)
+        for u in frontier:
+            for row in P.up:
+                found.setdefault(u | row)
+        if len(found) == size:
+            break
+        frontier = list(found)[size:]
+    return sorted(found, key=int.bit_count)
 
 
 def _extend(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
+import reference
 from esakialab.poset_core import FinitePoset
 
 # unlabeled posets on 1..7 points
@@ -69,7 +70,8 @@ def is_isomorphic(P: FinitePoset, Q: FinitePoset) -> bool:
 
 
 def _ideals(P: FinitePoset) -> list[int]:
-    return [P.full_mask & ~u for u in P.upsets()]
+    # the reference enumeration, so the corpus does not move with the library
+    return [P.full_mask & ~u for u in reference.upsets(P)]
 
 
 def _extend(P: FinitePoset, counter: int) -> list[FinitePoset]:

@@ -7,8 +7,10 @@ own operations, and validity sweeps every valuation through them.
 Join-irreducibles are found by sweeping primality over every pair of
 elements. The tensor joins the core joins of all regular pairs below its
 arguments. Surjective p-morphisms are found by sweeping every point map
-and validating each. Upsets are enumerated top-down, each point doubling
-the list with the masks it may join, then sorted by size and member tuple.
+and validating each. Divisibility runs the search from every upset of
+the target, each on its induced subposet. Upsets are enumerated
+top-down, each point doubling the list with the masks it may join, then
+sorted by size and member tuple.
 A cycle is the first pair i < j, walking i upward and j along i's
 up-row, that reach each other under a closure repeated until it is
 stable. Subalgebras are closed pairwise: each element found is combined,
@@ -23,7 +25,7 @@ from itertools import product
 from operator import and_, or_
 
 from esakialab.logic import And, Atom, Bot, Implies, Or, Tensor, Top, atoms
-from esakialab.poset_core import PMorphism, validate_p_morphism
+from esakialab.poset_core import PMorphism, iter_surjective_p_morphisms, validate_p_morphism
 
 
 def _subteams(team: int):
@@ -151,6 +153,14 @@ def surjective_p_morphisms(P, Q) -> list:
         if f.is_surjective and validate_p_morphism(f):
             found.append(f)
     return found
+
+
+def is_leq_all_upsets(A, B) -> bool:
+    """Some upset of B, of all of them, has a surjective p-morphism onto A."""
+    return any(
+        next(iter_surjective_p_morphisms(B.induced(u), A), None) is not None
+        for u in upsets(B)
+    )
 
 
 def close_under(H, seeds, ops) -> set[int]:

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from esakialab.heyting import dual_algebra, is_leq, is_regularly_generated
+from esakialab import jankov
+from esakialab.heyting import dual_algebra, dual_poset, is_leq, is_regularly_generated
 from esakialab.jankov import (
     MAX_ATOMS,
     _root_index,
@@ -42,6 +43,20 @@ def test_refutation_matches_divisibility(fork, p1, c2, w3, diamond, fork_bundle)
     expected = {"V": True, "P1": False, "C2": False, "W3": True, "D4": False}
     for B in (fork, p1, c2, w3, diamond):
         assert jankov_refutation_check(B, fork_bundle) == expected[B.name]
+
+
+def test_bundle_keeps_the_source_dual(fork, p1, c2, w3, diamond, fork_bundle, monkeypatch):
+    assert fork_bundle.dual == dual_poset(fork_bundle.source)
+    calls = [0]
+
+    def counting(H):
+        calls[0] += 1
+        return dual_poset(H)
+
+    monkeypatch.setattr(jankov, "dual_poset", counting)
+    for B in (fork, p1, c2, w3, diamond):
+        jankov_refutation_check(B, fork_bundle)
+    assert calls[0] == 0
 
 
 def test_refutation_sweep_is_guarded(w3, fork_bundle, monkeypatch):

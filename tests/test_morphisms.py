@@ -15,6 +15,7 @@ from esakialab.poset_core import (
     make_delta0,
     make_delta1,
     make_ladder,
+    make_medvedev,
     p_morphism_violation,
     strong_regularization,
     validate_p_morphism,
@@ -97,7 +98,30 @@ def test_is_leq_matches_brute_force(corpus_levels):
             assert is_leq(A, B) == _reference_leq(A, B), (A.up, B.up)
 
 
-def test_search_work_is_pinned(monkeypatch, corpus_levels):
+def test_is_leq_matches_all_upsets_sweep(corpus5):
+    named = [make_medvedev(n) for n in (2, 3, 4)]
+    named += [make_delta0(n) for n in (1, 2, 3)] + [make_delta1(n) for n in (3, 4, 5)]
+    # sources with one to five minimal points, so rooted and non-rooted ones
+    assert len(corpus5) == 87
+    for family in (corpus5, named):
+        for A in family:
+            for B in family:
+                assert is_leq(A, B) == reference.is_leq_all_upsets(A, B), (A.up, B.up)
+
+
+def test_generated_upsets_are_those_with_few_minimal_points(corpus6):
+    for B in corpus6:
+        minimal = {u: sum(B.down[i] & u == 1 << i for i in range(len(B))) for u in B.upsets()}
+        for k in (1, 2, 3):
+            got = morphisms._generated_upsets(B, k)
+            assert len(got) == len(set(got)), B
+            assert sorted(got, key=int.bit_count) == got, B
+            assert set(got) == {u for u, n in minimal.items() if n <= k}, (B, k)
+    assert len(corpus6) == 405
+
+
+@pytest.fixture
+def extend_calls(monkeypatch):
     # the search recurses through the module attribute, so every node is counted
     calls = [0]
     real = morphisms._extend
@@ -107,15 +131,31 @@ def test_search_work_is_pinned(monkeypatch, corpus_levels):
         return real(*args)
 
     monkeypatch.setattr(morphisms, "_extend", counting)
+    return calls
+
+
+def test_search_work_is_pinned(extend_calls, corpus_levels):
     report = antichain_verify([make_delta1(n) for n in (3, 4, 5)])
     assert report.is_antichain
-    assert calls[0] == 78401
+    assert extend_calls[0] == 31758
 
-    calls[0] = 0
+    extend_calls[0] = 0
     sources = [P for level in corpus_levels[:4] for P in level]
     targets = [P for level in corpus_levels[:5] for P in level]
     holds = sum(is_leq(A, B) for A in sources for B in targets)
-    assert (holds, calls[0]) == (638, 38211)
+    assert (holds, extend_calls[0]) == (638, 26533)
+
+
+def test_rooted_source_tries_only_principal_upsets(extend_calls):
+    # M4 lists small non-principal upsets before the principal ones
+    assert is_leq(make_medvedev(3), make_medvedev(4))
+    assert extend_calls[0] == 8
+
+    extend_calls[0] = 0
+    report = antichain_verify([make_delta1(n) for n in (3, 4, 5, 6)])
+    assert report.is_antichain
+    assert report.regular_flags == report.strongly_regular_flags == (True,) * 4
+    assert extend_calls[0] == 473918
 
 
 def test_is_leq_is_the_search_module_function(c2):
