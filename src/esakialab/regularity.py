@@ -4,7 +4,8 @@ implication rank, and the morphism preservation reports.
 Four independent oracles decide regularity of a finite poset: the
 structural cover condition, discreteness of the limit partition, regular
 generation of the upset algebra, and (at small sizes) a brute-force sweep
-over maximal-bijective p-morphic collapses. Tests pin their agreement.
+over maximal-bijective p-morphic collapses whose blocks each lie inside
+one maximal trace. Tests pin their agreement.
 """
 from __future__ import annotations
 
@@ -172,18 +173,26 @@ def is_stable_under_sim_infty(P: FinitePoset) -> bool:
     return sim_infty(P).is_discrete
 
 
-def _set_partitions(cls: list[int], i: int, top: int) -> Iterator[list[int]]:
-    """Every restricted growth string extending ``cls[:i]``, whose largest
-    class is ``top``: cls[j] <= 1 + max(cls[:j]). Each string is the block
-    map of one set partition, with classes 0..k-1 numbered by least member.
-    A plain function: a closure that calls itself would leave a reference
-    cycle for the collector on every sweep."""
+def _trace_partitions(
+    cls: list[int], i: int, traces: list[int], firsts: list[int]
+) -> Iterator[list[int]]:
+    """Every restricted growth string extending ``cls[:i]`` whose blocks
+    each lie inside one maximal trace, in lexicographic order. Class c has
+    least member ``firsts[c]``; point i joins it only when their traces
+    agree, and otherwise opens a new class. A plain function: a closure
+    that calls itself would leave a reference cycle for the collector on
+    every sweep."""
     if i == len(cls):
         yield list(cls)
         return
-    for c in range(top + 2):
-        cls[i] = c
-        yield from _set_partitions(cls, i + 1, max(top, c))
+    for c in range(len(firsts)):
+        if traces[firsts[c]] == traces[i]:
+            cls[i] = c
+            yield from _trace_partitions(cls, i + 1, traces, firsts)
+    cls[i] = len(firsts)
+    firsts.append(i)
+    yield from _trace_partitions(cls, i + 1, traces, firsts)
+    firsts.pop()
 
 
 BRUTEFORCE_LIMIT = 7
@@ -191,26 +200,26 @@ _BLOCK_LABELS = tuple(f"q{c}" for c in range(BRUTEFORCE_LIMIT))
 
 
 def is_regular_bruteforce_morphism(P: FinitePoset) -> bool:
-    """Sweep all proper p-morphic collapses; regular iff none of them is
+    """Sweep the proper p-morphic collapses; regular iff none of them is
     injective-on-maximals with a bijective maximal image.
 
-    Kernels are enumerated as set partitions, pruned first by the
-    maximal-bijection requirement. A kernel whose induced relation has a
-    cycle has no poset image and is skipped. Every kernel uses each of its
-    classes, so every collapse is onto its image.
+    Only kernels whose blocks each lie inside one maximal trace
+    ``M(x) = up(x) & maximal`` are tried. A p-morphism f has
+    M(f(x)) = f(M(x)); when f is injective on maximal points, f(x) = f(y)
+    gives f(M(x)) = f(M(y)) and so M(x) = M(y). No other kernel can be a
+    witness. A kernel whose induced relation has a cycle has no poset image
+    and is skipped. Every kernel uses each of its classes, so every
+    collapse is onto its image.
     """
     n = len(P)
     if n > BRUTEFORCE_LIMIT:
         raise ValueError(f"brute-force oracle is limited to {BRUTEFORCE_LIMIT} points (got {n})")
     if not n:
         return True
-    for cls in _set_partitions([0] * n, 1, 0):
+    traces = [row & P.maximal_mask for row in P.up]
+    for cls in _trace_partitions([0] * n, 1, traces, [0]):
         k = max(cls) + 1
         if k == n:
-            continue
-        # prune: two maximal points in one block can never stay injective
-        source_max_blocks = {cls[i] for i in _bits(P.maximal_mask)}
-        if len(source_max_blocks) != P.maximal_mask.bit_count():
             continue
         try:
             Q = collapse(P, cls, _BLOCK_LABELS[:k])
@@ -219,7 +228,7 @@ def is_regular_bruteforce_morphism(P: FinitePoset) -> bool:
         f = PMorphism(P, Q, tuple(cls))
         if not validate_p_morphism(f):
             continue
-        if source_max_blocks != set(_bits(Q.maximal_mask)):
+        if {cls[i] for i in _bits(P.maximal_mask)} != set(_bits(Q.maximal_mask)):
             continue
         return False
     return True

@@ -8,7 +8,9 @@ Join-irreducibles are found by sweeping primality over every pair of
 elements. The tensor joins the core joins of all regular pairs below its
 arguments. Surjective p-morphisms are found by sweeping every point map
 and validating each. Divisibility runs the search from every upset of
-the target, each on its induced subposet. Upsets are enumerated
+the target, each on its induced subposet. The brute-force regularity
+oracle (``is_regular_bruteforce_all_kernels``) collapses along every set
+partition, pruned only by the count of maximal blocks. Upsets are enumerated
 top-down, each point doubling the list with the masks it may join, then
 sorted by size and member tuple.
 A cycle is the first pair i < j, walking i upward and j along i's
@@ -25,7 +27,13 @@ from itertools import product
 from operator import and_, or_
 
 from esakialab.logic import And, Atom, Bot, Implies, Or, Tensor, Top, atoms
-from esakialab.poset_core import PMorphism, iter_surjective_p_morphisms, validate_p_morphism
+from esakialab.poset_core import (
+    OrderConstructionError,
+    PMorphism,
+    iter_surjective_p_morphisms,
+    validate_p_morphism,
+)
+from esakialab.poset_core.poset import collapse
 
 
 def _subteams(team: int):
@@ -161,6 +169,46 @@ def is_leq_all_upsets(A, B) -> bool:
         next(iter_surjective_p_morphisms(B.induced(u), A), None) is not None
         for u in upsets(B)
     )
+
+
+def _set_partitions(cls: list[int], i: int, top: int):
+    """Every restricted growth string extending ``cls[:i]``, whose largest
+    class is ``top``: cls[j] <= 1 + max(cls[:j]). Each string is the block
+    map of one set partition, with classes 0..k-1 numbered by least member."""
+    if i == len(cls):
+        yield list(cls)
+        return
+    for c in range(top + 2):
+        cls[i] = c
+        yield from _set_partitions(cls, i + 1, max(top, c))
+
+
+def is_regular_bruteforce_all_kernels(P) -> bool:
+    """Regular iff no proper collapse along a set partition, of all of them,
+    is a p-morphism injective on maximals with a bijective maximal image."""
+    n = len(P)
+    if not n:
+        return True
+    maximal = [i for i in range(n) if P.maximal_mask >> i & 1]
+    for cls in _set_partitions([0] * n, 1, 0):
+        k = max(cls) + 1
+        if k == n:
+            continue
+        # two maximal points in one block can never stay injective
+        source_max_blocks = {cls[i] for i in maximal}
+        if len(source_max_blocks) != len(maximal):
+            continue
+        try:
+            Q = collapse(P, cls, [f"q{c}" for c in range(k)])
+        except OrderConstructionError:
+            continue
+        f = PMorphism(P, Q, tuple(cls))
+        if not validate_p_morphism(f):
+            continue
+        if source_max_blocks != {c for c in range(k) if Q.maximal_mask >> c & 1}:
+            continue
+        return False
+    return True
 
 
 def close_under(H, seeds, ops) -> set[int]:

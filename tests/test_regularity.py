@@ -2,7 +2,9 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+import reference
 
+from esakialab import regularity
 from esakialab.heyting import dual_algebra
 from esakialab.poset_core import (
     FinitePoset,
@@ -155,6 +157,44 @@ def test_oracle_trio_on_small_corpus(corpus5):
             is_regular_bruteforce_morphism(P),
         }
         assert len(answers) == 1
+
+
+def test_trace_partitions_are_the_reference_strings_within_one_trace(corpus6):
+    total = kept = 0
+    for P in corpus6:
+        traces = [P.m_mask(i) for i in range(len(P))]
+        want = []
+        for cls in reference._set_partitions([0] * len(P), 1, 0):
+            total += 1
+            block_trace = {}
+            if all(block_trace.setdefault(c, t) == t for c, t in zip(cls, traces)):
+                want.append(cls)
+        got = list(regularity._trace_partitions([0] * len(P), 1, traces, [0]))
+        assert got == want, P.up
+        kept += len(want)
+    assert (len(corpus6), total, kept) == (405, 68100, 16723)
+
+
+def test_morphism_oracle_matches_all_kernels_sweep(corpus6):
+    named = [make_medvedev(n) for n in (1, 2, 3)] + [make_delta0(n) for n in (0, 1)]
+    named += [make_ladder(kind, n) for kind in ("R0", "R1") for n in (1, 2, 3)]
+    named += [make_ladder("R2", n) for n in (1, 2)]
+    assert max(len(P) for P in named) == regularity.BRUTEFORCE_LIMIT
+    for P in corpus6 + named:
+        assert is_regular_bruteforce_morphism(P) == reference.is_regular_bruteforce_all_kernels(P), P.up
+
+
+def test_bruteforce_work_is_pinned(monkeypatch, corpus6):
+    calls = [0]
+    real = regularity.collapse
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regularity, "collapse", counting)
+    regular = sum(is_regular_bruteforce_morphism(P) for P in corpus6)
+    assert (regular, calls[0]) == (35, 372)
 
 
 def test_rank_table_fork(fork):
