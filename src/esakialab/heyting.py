@@ -7,7 +7,9 @@ subalgebra generation, and the tensor operation live here.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .logic import SweepGuardError, is_dna_valid, is_valid, ml_proxy_formulas, sweep_limit
@@ -38,8 +40,10 @@ class FiniteHeytingAlgebra:
         "_down_tables",
         "_components",
         "_regulars",
+        "_regular_closure",
         "_tensor_ok",
         "_splits",
+        "__weakref__",
     )
 
     def __init__(self, base: FinitePoset):
@@ -50,6 +54,7 @@ class FiniteHeytingAlgebra:
         self._down_tables = _down_tables(base)
         self._components: tuple[FiniteHeytingAlgebra, ...] | None = None
         self._regulars: tuple[int, ...] | None = None
+        self._regular_closure: dict[int, int] | None = None
         self._tensor_ok: bool | None = None
         self._splits: tuple | None = None
 
@@ -99,6 +104,17 @@ class FiniteHeytingAlgebra:
                 u for u in self.elements if self.neg(self.neg(u)) == u
             )
         return self._regulars
+
+    @property
+    def regular_closure(self) -> Mapping[int, int]:
+        """``close_under(self, self.regulars)`` as a read-only map, computed
+        once per algebra: each element the regulars generate, with its
+        implication level. Like ``regulars`` and ``tensor_defined``, only
+        the first read runs the closure and pays its ESAKIA_MAX_SWEEP
+        charge; a read the budget refuses caches nothing."""
+        if self._regular_closure is None:
+            self._regular_closure = close_under(self, self.regulars)
+        return MappingProxyType(self._regular_closure)
 
     def core_join(self, u: int, v: int) -> int:
         return self.neg(self.meet(self.neg(u), self.neg(v)))
@@ -159,7 +175,19 @@ def _down_tables(P: FinitePoset) -> tuple[list[int], ...]:
 
 
 def dual_algebra(P: FinitePoset) -> FiniteHeytingAlgebra:
-    return FiniteHeytingAlgebra(P)
+    """The upset algebra of P: one algebra per poset while anyone holds it.
+
+    P keeps only a weak link to the algebra built last, so a second call
+    while the first result is alive returns that same object, with the
+    tables, regulars and regular closure it has computed. Once its last
+    holder lets go the algebra is freed at once (the algebra holds P, P
+    holds only the weak link), and the next call builds a fresh one.
+    """
+    H = P._algebra() if P._algebra is not None else None
+    if H is None:
+        H = FiniteHeytingAlgebra(P)
+        P._algebra = weakref.ref(H)
+    return H
 
 
 # -- duality, algebra to poset ------------------------------------------------
@@ -173,16 +201,17 @@ def _join_irreducibles(H: FiniteHeytingAlgebra) -> list[int]:
     # base's principal upsets, so the round trip through dual_poset stays an
     # independent check of duality. A strict subset has fewer points and the
     # canonical order lists smaller elements first, so only earlier
-    # elements can lie strictly below a.
-    gens = []
-    for i, a in enumerate(H.elements):
-        if a == H.bot:
-            continue
-        below = 0
-        for x in H.elements[:i]:
+    # elements can lie strictly below a. They are scanned from the nearest
+    # down, as the largest ones reach a soonest when a is a join.
+    els, gens = H.elements, []
+    for i in range(1, len(els)):  # els[0] is the bottom
+        a, below = els[i], 0
+        for x in els[i - 1::-1]:
             if x & ~a == 0:
                 below |= x
-        if below != a:
+                if below == a:
+                    break
+        else:
             gens.append(a)
     return gens
 
@@ -436,7 +465,7 @@ def generated_subalgebra(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> tuple
 
 
 def is_regularly_generated(H: FiniteHeytingAlgebra) -> bool:
-    return len(close_under(H, H.regulars)) == len(H.elements)
+    return len(H.regular_closure) == len(H.elements)
 
 
 # -- tensor, pointwise ---------------------------------------------------------

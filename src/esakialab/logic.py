@@ -157,7 +157,9 @@ _GRAMMAR = {
     "&": (5, And, False),
     "~": (6, Neg, True),
 }
-_NOT_BINARY = (-1, None, False)
+_INFIX = {sym: rule for sym, rule in _GRAMMAR.items() if rule[1] is not Neg}
+_NOT_INFIX = (-1, None, False)
+_OPEN = (-1, None, True)  # "(" while pending: under every floor, one nesting level
 
 
 def _lex(text: str) -> list[tuple[str, str, int]]:
@@ -184,67 +186,71 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _lex(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, sym: str) -> None:
-        kind, val, at = self.take()
-        if kind != "sym" or val != sym:
-            raise FormulaSyntaxError(f"expected {sym!r}", at)
-
-    def parse(self) -> Formula:
-        f = self.binary(0)
-        kind, val, at = self.peek()
-        if kind != "end":
-            raise FormulaSyntaxError(f"unexpected {val!r}", at)
-        return f
-
-    def binary(self, floor: int) -> Formula:
-        """Precedence climbing over the binary symbols binding at least floor."""
-        f = self.unary()
-        while True:
-            prec, node, right = _GRAMMAR.get(self.peek()[1], _NOT_BINARY)
-            if prec < floor or node is Neg:
-                return f
-            self.take()
-            f = node(f, self.binary(prec if right else prec + 1))
-
-    def unary(self) -> Formula:
-        kind, val, at = self.peek()
-        if (kind, val) == ("sym", "~"):
-            self.take()
-            return Neg(self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        kind, val, at = self.take()
-        if kind == "atom":
-            return Atom(val)
-        if kind == "const":
-            return Bot() if val == "bot" else Top()
-        if (kind, val) == ("sym", "("):
-            f = self.binary(0)
-            self.expect(")")
-            return f
-        raise FormulaSyntaxError(f"unexpected {val or 'end of input'!r}", at)
+# The deepest nesting parse accepts, counting each "~", "(" and right-hand
+# "->" operand still open; it sits under the interpreter's default limit of
+# 1000 frames. parse keeps explicit stacks instead of recursing, so the
+# limit is the same at any caller depth. The library walks formulas
+# iteratively; their dataclass equality, hash and repr still recurse and
+# give out at a few hundred levels.
+MAX_NESTING = 900
 
 
 def parse(text: str) -> Formula:
-    parser = _Parser(text)
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise FormulaSyntaxError("formula nested too deeply", parser.peek()[2]) from None
+    """Operator-precedence parse over the grammar table, with explicit stacks.
+
+    ``pending`` holds the grammar rules of the symbols not yet applied:
+    "~", binary symbols, and ``_OPEN`` for "(". A binary symbol first
+    applies the pending rules that bind at least as tightly (strictly more
+    tightly when it associates right); ")" and the end apply all of them
+    down to the nearest "(".
+    """
+    operands: list[Formula] = []
+    pending: list[tuple] = []
+    depth = 0
+    want_operand = True
+    for kind, val, at in _lex(text):
+        if want_operand:
+            if kind == "atom":
+                operands.append(Atom(val))
+            elif kind == "const":
+                operands.append(Bot() if val == "bot" else Top())
+            elif kind == "sym" and val in ("~", "("):
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise FormulaSyntaxError("formula nested too deeply", at)
+                pending.append(_GRAMMAR["~"] if val == "~" else _OPEN)
+                continue
+            else:
+                raise FormulaSyntaxError(f"unexpected {val or 'end of input'!r}", at)
+            want_operand = False
+            continue
+        rule = _INFIX.get(val, _NOT_INFIX)
+        prec, _, right = rule
+        floor = prec + right if prec > 0 else 0
+        while pending and pending[-1][0] >= floor:
+            _, node, nests = pending.pop()
+            depth -= nests
+            if node is Neg:
+                operands[-1] = Neg(operands[-1])
+            else:
+                b = operands.pop()
+                operands[-1] = node(operands[-1], b)
+        if prec > 0:
+            depth += right
+            if depth > MAX_NESTING:
+                raise FormulaSyntaxError("formula nested too deeply", at)
+            pending.append(rule)
+            want_operand = True
+        elif (kind, val) == ("sym", ")"):
+            if not pending:
+                raise FormulaSyntaxError("unexpected ')'", at)
+            pending.pop()
+            depth -= 1
+        elif pending:
+            raise FormulaSyntaxError("expected ')'", at)
+        elif kind != "end":
+            raise FormulaSyntaxError(f"unexpected {val!r}", at)
+    return operands[0]
 
 
 def format_formula(f: Formula) -> str:

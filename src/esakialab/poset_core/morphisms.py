@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .poset import FinitePoset, UnknownPointError, _bits, _top_down, collapse
+from .poset import FinitePoset, UnknownPointError, _bits, _renumbered, _top_down, collapse
 
 
 class ReductionError(ValueError):
@@ -56,17 +56,22 @@ class PMorphism:
 
 
 def p_morphism_violation(f: PMorphism) -> tuple[str, str, str] | None:
-    """First violated condition as (kind, point, point), or None if valid."""
+    """First violated condition as (kind, point, point), or None if valid.
+
+    Every monotonicity failure comes before every back failure; within a
+    kind, the least source point first, then the least partner. Both read
+    one image f(up(x)) per point: monotone at x is f(up(x)) inside
+    up(f(x)), and back the reverse inclusion."""
     src, tgt, m = f.source, f.target, f.mapping
     if len(m) != len(src.points) or any(not 0 <= q < len(tgt.points) for q in m):
         return ("total", "", "")
-    for i in range(len(src.points)):
-        for j in _bits(src.strict_up(i)):
-            if not tgt.up[m[i]] >> m[j] & 1:
-                return ("monotone", src.points[i], src.points[j])
-    for i in range(len(src.points)):
-        image_up = f.image_mask(src.up[i])
-        missing = tgt.up[m[i]] & ~image_up
+    images = _renumbered(src.up, [1 << q for q in m])
+    for i, image in enumerate(images):
+        if image & ~tgt.up[m[i]]:
+            j = next(j for j in _bits(src.up[i]) if not tgt.up[m[i]] >> m[j] & 1)
+            return ("monotone", src.points[i], src.points[j])
+    for i, image in enumerate(images):
+        missing = tgt.up[m[i]] & ~image
         if missing:
             q = next(_bits(missing))
             return ("back", src.points[i], tgt.points[q])

@@ -38,7 +38,8 @@ class FinitePoset:
     omitted. Equality is by (point labels, order), not by name.
     """
 
-    __slots__ = ("points", "up", "down", "name", "_index", "_maximal")
+    # _algebra: a weak link to the upset algebra heyting.dual_algebra built last
+    __slots__ = ("points", "up", "down", "name", "_index", "_maximal", "_algebra")
 
     def __init__(
         self,
@@ -97,6 +98,7 @@ class FinitePoset:
         self.name = name
         self._index = index
         self._maximal = maximal
+        self._algebra = None
         # finite posets always have a maximal point above every point
         assert all(up[i] & maximal for i in range(n))
 
@@ -115,6 +117,10 @@ class FinitePoset:
 
     def __hash__(self) -> int:
         return hash((self.points, self.up))
+
+    def __reduce__(self):
+        # copies and pickles rebuild from the rows, without the weak algebra link
+        return type(self)._from_rows, (self.points, self.up, self.name)
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""

@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .heyting import (
-    FiniteHeytingAlgebra,
-    close_under,
-    dual_algebra,
-    generated_subalgebra,
-    regular_upsets,
-)
+from .heyting import FiniteHeytingAlgebra, dual_algebra, regular_upsets
 from .poset_core import (
     FinitePoset,
     OrderConstructionError,
@@ -264,9 +258,11 @@ def rank_table(P: FinitePoset) -> RankTable:
     """The implication rank of each element the regular upsets generate:
     the least level of close_under reaching it, where level 0 is the
     meet/join closure of the regulars with the bounds and each next level
-    adds one implication layer."""
+    adds one implication layer. Reads the regular closure of the live
+    algebra of P, so a caller holding that algebra pays for neither twice;
+    the table owns a copy of the map."""
     H = dual_algebra(P)
-    return RankTable(H, close_under(H, H.regulars))
+    return RankTable(H, dict(H.regular_closure))
 
 
 @dataclass(frozen=True)
@@ -378,9 +374,8 @@ def morphism_regularity_report(f: PMorphism) -> MorphismRegularityReport:
         if not sim_forward:
             break
 
-    src_gen = generated_subalgebra(HS, HS.regulars)
-    tgt_gen = generated_subalgebra(HT, HT.regulars)
-    gen_pullback_equal = {f.preimage_mask(v) for v in tgt_gen} == set(src_gen)
+    pulled_gen = {f.preimage_mask(v) for v in HT.regular_closure}
+    gen_pullback_equal = pulled_gen == HS.regular_closure.keys()
     if gen_pullback_equal != sim_forward:
         raise RuntimeError(
             "polynomial routes disagree; this indicates an implementation bug"

@@ -18,22 +18,37 @@ up-row, that reach each other under a closure repeated until it is
 stable. Subalgebras are closed pairwise: each element found is combined,
 in both argument orders, with itself and every element found before it,
 and the implication ranks re-run the whole meet/join closure and the
-full implication sweep at every level. All are slow and meant for small
-inputs only.
+full implication sweep at every level. The p-morphism check walks every
+monotone pair, then builds each point's image again for the back
+condition. The parser is recursive precedence climbing, one call per
+nesting level. All are slow and meant for small inputs only.
 """
 from __future__ import annotations
 
 from itertools import product
 from operator import and_, or_
 
-from esakialab.logic import And, Atom, Bot, Implies, Or, Tensor, Top, atoms
+from esakialab.logic import (
+    _GRAMMAR,
+    And,
+    Atom,
+    Bot,
+    FormulaSyntaxError,
+    Implies,
+    Neg,
+    Or,
+    Tensor,
+    Top,
+    _lex,
+    atoms,
+)
 from esakialab.poset_core import (
     OrderConstructionError,
     PMorphism,
     iter_surjective_p_morphisms,
     validate_p_morphism,
 )
-from esakialab.poset_core.poset import collapse
+from esakialab.poset_core.poset import _bits, collapse
 
 
 def _subteams(team: int):
@@ -300,3 +315,71 @@ def first_cycle(n: int, pairs) -> tuple[int, int] | None:
             if up[i] >> j & 1 and up[j] >> i & 1:
                 return (i, j)
     return None
+
+
+def p_morphism_violation(f) -> tuple[str, str, str] | None:
+    """The first violated condition as (kind, point, point): every monotone
+    pair in point order, then the back condition point by point."""
+    src, tgt, m = f.source, f.target, f.mapping
+    if len(m) != len(src.points) or any(not 0 <= q < len(tgt.points) for q in m):
+        return ("total", "", "")
+    for i in range(len(src.points)):
+        for j in _bits(src.strict_up(i)):
+            if not tgt.up[m[i]] >> m[j] & 1:
+                return ("monotone", src.points[i], src.points[j])
+    for i in range(len(src.points)):
+        missing = tgt.up[m[i]] & ~f.image_mask(src.up[i])
+        if missing:
+            return ("back", src.points[i], tgt.points[next(_bits(missing))])
+    return None
+
+
+class _Parser:
+    """Precedence climbing: one call per "~", "(" and right-hand operand."""
+
+    def __init__(self, text: str):
+        self.tokens = _lex(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def binary(self, floor: int):
+        f = self.unary()
+        while True:
+            prec, node, right = _GRAMMAR.get(self.peek()[1], (-1, None, False))
+            if prec < floor or node is Neg:
+                return f
+            self.take()
+            f = node(f, self.binary(prec if right else prec + 1))
+
+    def unary(self):
+        if self.peek()[:2] == ("sym", "~"):
+            self.take()
+            return Neg(self.unary())
+        kind, val, at = self.take()
+        if kind == "atom":
+            return Atom(val)
+        if kind == "const":
+            return Bot() if val == "bot" else Top()
+        if (kind, val) == ("sym", "("):
+            f = self.binary(0)
+            kind, val, at = self.take()
+            if (kind, val) != ("sym", ")"):
+                raise FormulaSyntaxError("expected ')'", at)
+            return f
+        raise FormulaSyntaxError(f"unexpected {val or 'end of input'!r}", at)
+
+
+def parse(text: str):
+    """The formula text denotes; shallow formulas only, as it recurses."""
+    parser = _Parser(text)
+    f = parser.binary(0)
+    kind, val, at = parser.peek()
+    if kind != "end":
+        raise FormulaSyntaxError(f"unexpected {val!r}", at)
+    return f

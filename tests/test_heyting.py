@@ -1,6 +1,10 @@
+import copy
+import gc
 import json
+import pickle
 import random
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -26,10 +30,12 @@ from esakialab.jankov import _witness_terms
 from esakialab.logic import SweepGuardError, format_formula
 from esakialab.poset_core import (
     FinitePoset,
+    PMorphism,
     downset_closure,
     make_ladder,
     make_medvedev,
 )
+from esakialab.regularity import morphism_regularity_report, rank_table
 
 import reference
 from corpus import is_isomorphic
@@ -263,6 +269,64 @@ def test_closure_pairs_are_guarded(n6, monkeypatch):
     ranks = close_under(H, H.regulars)
     assert (len(ranks), len(H), max(ranks.values())) == (12, 19, 1)
     assert not is_regularly_generated(H)
+
+
+def test_dual_algebra_is_one_live_object_per_poset(fork):
+    H = dual_algebra(fork)
+    assert dual_algebra(fork) is H
+    # sharing goes by poset object: an equal poset builds its own algebra
+    assert dual_algebra(FinitePoset(fork.points, fork.cover_pairs())) is not H
+    link = weakref.ref(H)
+    gc.disable()
+    try:
+        del H
+        assert link() is None  # freed by its last reference, not by the collector
+    finally:
+        gc.enable()
+    assert len(dual_algebra(fork)) == 5
+
+
+def test_copies_and_pickles_leave_the_algebra_link_behind(fork):
+    H = dual_algebra(fork)
+    assert is_regularly_generated(H)
+    for P in (pickle.loads(pickle.dumps(fork)), copy.deepcopy(fork), copy.copy(fork)):
+        assert P == fork and P.name == fork.name and P._algebra is None
+    K = pickle.loads(pickle.dumps(H))
+    assert K.elements == H.elements and K.regular_closure == H.regular_closure
+
+
+@pytest.fixture
+def closure_calls(monkeypatch):
+    # the algebra calls close_under through the heyting module, so every run is counted
+    calls = [0]
+    real = heyting.close_under
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(heyting, "close_under", counting)
+    return calls
+
+
+def test_one_regular_closure_per_algebra(fork, closure_calls):
+    H = dual_algebra(fork)
+    assert is_regularly_generated(H)
+    assert rank_table(fork).algebra is H
+    assert H.tensor_defined()
+    identity = PMorphism(fork, fork, tuple(range(len(fork))))
+    assert morphism_regularity_report(identity).preserves_polynomials
+    assert closure_calls[0] == 1
+    with pytest.raises(TypeError):
+        H.regular_closure[H.top] = 1
+
+
+def test_rank_tables_own_their_ranks(fork):
+    H = dual_algebra(fork)
+    table = rank_table(fork)
+    want = dict(table.ranks)
+    table.ranks.clear()
+    assert rank_table(fork).ranks == want == dict(H.regular_closure)
 
 
 def test_tensor_on_fork(fork):

@@ -10,6 +10,7 @@ from esakialab.logic import (
     And,
     Atom,
     Bot,
+    MAX_NESTING,
     FormulaSyntaxError,
     Iff,
     Implies,
@@ -225,6 +226,23 @@ def test_parse_rejects_runaway_nesting():
         parse("~" * 1500 + "p")
     with pytest.raises(FormulaSyntaxError, match="formula nested too deeply"):
         parse("(" * 1500 + "p" + ")" * 1500)
+
+
+def _nesting_error_at(text: str, frames: int) -> int:
+    if frames:
+        return _nesting_error_at(text, frames - 1)
+    with pytest.raises(FormulaSyntaxError, match="formula nested too deeply") as err:
+        parse(text)
+    return err.value.pos
+
+
+def test_nesting_limit_is_the_same_at_any_caller_depth():
+    assert _nesting_error_at("~" * 1500 + "p", 0) == MAX_NESTING
+    for text in ("~" * 1500 + "p", "(" * 1500 + "p" + ")" * 1500, "p -> " * 1500 + "p"):
+        assert _nesting_error_at(text, 0) == _nesting_error_at(text, 200), text[:8]
+    # the limit itself parses, one more level does not
+    assert format_formula(parse("~" * MAX_NESTING + "p")) == "~" * MAX_NESTING + "p"
+    assert _nesting_error_at("(" * MAX_NESTING + "~p" + ")" * MAX_NESTING, 0) == MAX_NESTING
 
 
 # -- team semantics ------------------------------------------------------------

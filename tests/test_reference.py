@@ -17,12 +17,15 @@ from esakialab.heyting import (
     tensor_pointwise,
 )
 from esakialab.logic import (
+    FormulaSyntaxError,
     Team,
     atoms,
     enumerate_formulas,
     eval_algebra,
+    format_formula,
     is_dna_valid,
     is_valid,
+    parse,
     sample_formulas,
     team_eval,
     team_valid,
@@ -37,6 +40,7 @@ from esakialab.poset_core import (
     make_delta1,
     make_ladder,
     make_medvedev,
+    p_morphism_violation,
     strong_regularization,
 )
 from esakialab.regularity import quotient, rank_table, sim_infty, sim_n
@@ -217,3 +221,35 @@ def test_cycle_messages_match_the_up_row_walk():
         assert message == want, (pts, pairs)
         outcomes[want is None] += 1
     assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_p_morphism_violation_matches_two_pass_reference(corpus5):
+    rnd = random.Random(29)
+    kinds = Counter()
+    for _ in range(8000):
+        P, Q = rnd.choice(corpus5), rnd.choice(corpus5)
+        f = PMorphism(P, Q, tuple(rnd.randrange(len(Q)) for _ in range(len(P))))
+        got = p_morphism_violation(f)
+        assert got == reference.p_morphism_violation(f), f
+        kinds[got and got[0]] += 1
+    assert kinds[None] and kinds["monotone"] and kinds["back"], kinds
+
+
+def _parsed(parser, text):
+    try:
+        return parser(text)
+    except FormulaSyntaxError as err:
+        return str(err)
+
+
+def test_parser_matches_recursive_reference():
+    pieces = ("p", "q", "bot", "top", "~", "&", "|", "(+)", "->", "<->", "(", ")")
+    rnd = random.Random(31)
+    texts = [" ".join(rnd.choices(pieces, k=rnd.randint(0, 12))) for _ in range(30000)]
+    texts += [format_formula(f) for f in sample_formulas(["p", "q"], 13, 400, seed=4, with_tensor=True)]
+    accepted = 0
+    for text in texts:
+        got = _parsed(parse, text)
+        assert got == _parsed(reference.parse, text), text
+        accepted += not isinstance(got, str)
+    assert accepted > 1000

@@ -5,7 +5,7 @@ import pytest
 import reference
 
 from esakialab import regularity
-from esakialab.heyting import dual_algebra
+from esakialab.heyting import dual_algebra, is_regularly_generated
 from esakialab.poset_core import (
     FinitePoset,
     ParentMismatchError,
@@ -255,6 +255,19 @@ def test_separation_equivalence_fixture_sweep(fork, diamond):
         assert bool(check)
     assert separation_equivalence_check(fork, 0).ok
     assert separation_equivalence_check(diamond, None).ok
+
+
+def test_separation_verdicts_do_not_depend_on_a_held_algebra(corpus6):
+    # with the algebra held, every check reads its one regular closure
+    levels = (0, 1, 2, None)
+    for P in corpus6:
+        fresh = [separation_equivalence_check(P, n) for n in levels]
+        H = dual_algebra(P)
+        is_regularly_generated(H)
+        held = [separation_equivalence_check(P, n) for n in levels]
+        assert rank_table(P).algebra is H
+        assert held == fresh and all(fresh), P
+        del H
 
 
 def test_separation_equivalence_on_corpus(corpus5):
