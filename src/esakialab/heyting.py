@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import weakref
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -193,27 +195,29 @@ def dual_algebra(P: FinitePoset) -> FiniteHeytingAlgebra:
 # -- duality, algebra to poset ------------------------------------------------
 
 
+def _least_holding(n: int, sets: Iterable[int], top: int) -> list[int]:
+    """For each point x < n, the meet of top and every set holding x.
+
+    In a lattice of sets closed under meet and join and holding top, that
+    is the least member holding x, and the members are exactly the joins
+    of these least members (Birkhoff's representation)."""
+    least = [top] * n
+    for s in sets:
+        rest = s
+        while rest:
+            bit = rest & -rest
+            least[bit.bit_length() - 1] &= s
+            rest ^= bit
+    return least
+
+
 def _join_irreducibles(H: FiniteHeytingAlgebra) -> list[int]:
-    # a != 0 is kept when the join of the elements strictly below it falls
-    # short of a. In a finite lattice that is join-irreducibility, and in a
-    # distributive one join-irreducible equals join-prime, which is what
-    # dual_poset needs. Only the elements and their order are read, not the
-    # base's principal upsets, so the round trip through dual_poset stays an
-    # independent check of duality. A strict subset has fewer points and the
-    # canonical order lists smaller elements first, so only earlier
-    # elements can lie strictly below a. They are scanned from the nearest
-    # down, as the largest ones reach a soonest when a is a join.
-    els, gens = H.elements, []
-    for i in range(1, len(els)):  # els[0] is the bottom
-        a, below = els[i], 0
-        for x in els[i - 1::-1]:
-            if x & ~a == 0:
-                below |= x
-                if below == a:
-                    break
-        else:
-            gens.append(a)
-    return gens
+    # In a finite lattice of sets the join-irreducibles are the least
+    # members holding each point; in a distributive one join-irreducible
+    # equals join-prime, which is what dual_poset needs. Only the elements
+    # are read, as sets, not the base's principal upsets, so the round trip
+    # through dual_poset stays an independent check of duality.
+    return sorted(set(_least_holding(len(H.base), H.elements, H.top)), key=H.index)
 
 
 def dual_poset(H: FiniteHeytingAlgebra) -> FinitePoset:
@@ -389,10 +393,6 @@ def _submasks(mask: int):
 
 # -- subalgebra generation ----------------------------------------------------
 
-# differences an implication layer holds before their lookups, per element of H
-_DIFFS_HELD = 4
-
-
 def close_under(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> dict[int, int]:
     """The meet/join/imp closure of seeds plus {0, 1}, staged by level.
 
@@ -400,63 +400,55 @@ def close_under(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> dict[int, int]
     adds the implications of level k's set and closes again under meet
     and join. Each element reached maps to the least level holding it.
 
-    Rounds are semi-naive: a meet/join round combines only the elements
-    new in the last round with all known ones, and an implication layer
-    only pairs that touch an element first reached at the level just
-    closed. imp(u, v) is imp(u & ~v, 0), so the layer gathers the
-    distinct differences and looks each up once; at most _DIFFS_HELD * |H|
-    of them wait at a time, so memory stays O(|H|) whatever the pair
-    count. Upsets are the joins of the principal upsets they hold, so once
-    every up[i] is known the level closes on all of H and the loop stops
-    there. The pairs of every round count against sweep_limit() before the
-    round runs.
+    A level is the set of joins of its least elements g(x) holding each
+    point x, which _least_holding reads off any generators of the level.
+    With h(x) the join of the g's missing x, every element is a meet of
+    h's, and (join of g's) -> (meet of h's) is the meet of the g -> h; so
+    the g's and the at most |P|^2 g -> h generate the next level. The loop
+    stops when g stops changing, or fills H at the current level once every
+    g(x) is up[x], since each upset joins the principal upsets it holds.
+    Each step's work counts against sweep_limit() before it runs:
+    generators x |P| for the g's, |H| x distinct g's for the joins, and
+    distinct g's x distinct h's for the implications. Seeds that hold every
+    principal upset close on H at level 0 with no charge.
     """
+    up = list(H.base.up)
+    gens = {*seeds, H.bot, H.top}
+    if gens.issuperset(up):
+        return dict.fromkeys(H.elements, 0)
+    n, limit = len(up), sweep_limit()
     ranks: dict[int, int] = {}
-    missing = set(H.base.up)
-    pairs = 0
-    level = 0
-    new = {*seeds, H.bot, H.top}
+    level, work, least = 0, 0, None
+
+    def charge(step: int, what: str) -> None:
+        nonlocal work
+        if work + step > limit:
+            raise SweepGuardError(
+                f"close_under: {work} so far and {step} for level {level}'s {what} "
+                f"make {work + step}, more than the budget of {limit} (ESAKIA_MAX_SWEEP)"
+            )
+        work += step
+
     while True:
-        added: list[int] = []
-        while new:
-            for u in new:
-                ranks[u] = level
-            added += new
-            missing -= new
-            if not missing:
-                for u in H.elements:
-                    ranks.setdefault(u, level)
-                return ranks
-            pairs = _charge(pairs, len(new), len(ranks))
-            known = list(ranks)
-            new = {u & v for u in new for v in known} | {u | v for u in new for v in known}
-            new.difference_update(ranks)
-        pairs = _charge(pairs, len(added), len(ranks))
-        known = list(ranks)
-        imp, held = H.imp, _DIFFS_HELD * len(H)
-        new, diffs = set(), set()
-        for u in added:
-            diffs.update([u & ~v for v in known])
-            diffs.update([v & ~u for v in known])
-            if len(diffs) >= held:
-                new.update([imp(d, 0) for d in diffs])
-                diffs.clear()
-        new.update([imp(d, 0) for d in diffs])
-        new.difference_update(ranks)
-        if not new:
+        charge(len(gens) * n, "least elements")
+        g = _least_holding(n, gens, H.top)
+        if g == least:
             return ranks
+        if g == up:
+            for u in H.elements:
+                ranks.setdefault(u, level)
+            return ranks
+        least, gs = g, set(g)
+        charge(len(H) * len(gs), "joins")
+        joins = {0}
+        for a in gs:
+            joins |= {u | a for u in joins}
+        for u in joins:
+            ranks.setdefault(u, level)
+        hs = {reduce(or_, [a for a in gs if not a >> x & 1], 0) for x in range(n)}
+        charge(len(gs) * len(hs), "implications")
+        gens = gs | {H.imp(a, h) for a in gs for h in hs}
         level += 1
-
-
-def _charge(pairs: int, fresh: int, known: int) -> int:
-    """The closure's pair count after a round of fresh x known pairs, held to sweep_limit()."""
-    total, limit = pairs + fresh * known, sweep_limit()
-    if total > limit:
-        raise SweepGuardError(
-            f"close_under: {pairs} pairs so far and {fresh} x {known} in the next round "
-            f"make {total}, more than the budget of {limit} (ESAKIA_MAX_SWEEP)"
-        )
-    return total
 
 
 def generated_subalgebra(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> tuple[int, ...]:

@@ -112,14 +112,14 @@ def test_check_regular_small_poset_adds_morphism(capsys, written):
 
 
 def test_check_regular_closure_guard(capsys, tmp_path, n6, monkeypatch):
-    # N6's regulars close in 242 pairs
+    # N6's regulars close at a charge of 402
     path = tmp_path / "n6.json"
     path.write_text(n6.to_json(), encoding="utf-8")
-    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "241")
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "401")
     code, out, err = invoke(capsys, "check-regular", str(path))
     assert code == 2 and one_error_line(out, err)
     assert err.startswith("error: close_under: ")
-    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "242")
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "402")
     code, out, err = invoke(capsys, "check-regular", str(path))
     assert code == 0 and err == ""
     assert out.startswith("regular: no ")

@@ -227,7 +227,7 @@ def test_counit_finds_the_join_irreducibles_once(monkeypatch):
 
 def test_regular_generation_on_large_ladders(monkeypatch):
     # every principal upset of R2@n is regular, so the closure stops at
-    # its seeds and tries no pair at all
+    # its seeds and charges nothing
     monkeypatch.setenv("ESAKIA_MAX_SWEEP", "0")
     for n, size in ((5, 1873), (6, 7505)):
         H = dual_algebra(make_ladder("R2", n))
@@ -236,10 +236,11 @@ def test_regular_generation_on_large_ladders(monkeypatch):
 
 
 def test_closure_memory_bound_on_a_non_generating_closure():
-    # four disjoint 4-chains: |H| = 625 but about 23 |H| convex sets, so the
-    # differences u & ~v outnumber H. These seeds close on 400 elements
-    # after meet/join and implication rounds; holding every distinct
-    # difference of a layer at once peaks at about 1.9 MB here
+    # four disjoint 4-chains: |H| = 625 but about 23 |H| convex sets, so a
+    # closure holding every difference u & ~v of a level at once would peak
+    # at about 1.9 MB here. These seeds close on 400 elements after an
+    # implication level; beside the ranks a level holds at most |P| g's,
+    # |P| h's and |P|^2 implications
     P = FinitePoset(
         [f"c{i}{j}" for i in range(4) for j in range(4)],
         [(f"c{i}{j}", f"c{i}{j + 1}") for i in range(4) for j in range(3)],
@@ -259,13 +260,13 @@ def test_closure_memory_bound_on_a_non_generating_closure():
 
 def test_closure_pairs_are_guarded(n6, monkeypatch):
     H = dual_algebra(n6)
-    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "241")
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "401")
     with pytest.raises(
         SweepGuardError,
-        match=r"^close_under: .* make 242, more than the budget of 241 \(ESAKIA_MAX_SWEEP\)$",
+        match=r"^close_under: .* make 402, more than the budget of 401 \(ESAKIA_MAX_SWEEP\)$",
     ):
         is_regularly_generated(H)
-    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "242")
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "402")
     ranks = close_under(H, H.regulars)
     assert (len(ranks), len(H), max(ranks.values())) == (12, 19, 1)
     assert not is_regularly_generated(H)

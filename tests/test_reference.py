@@ -131,7 +131,20 @@ def test_join_irreducibles_match_primality_sweep(corpus7):
     assert len(corpus7) == 2450
 
 
-def test_staged_closure_matches_pairwise_reference(corpus7):
+def test_join_irreducibles_of_full_upset_algebras_are_the_principal_upsets():
+    # beyond the reach of the O(|H|^3) primality sweep
+    for P in (make_ladder("R2", 5), make_ladder("R2", 6), make_medvedev(5)):
+        H = dual_algebra(P)
+        assert _join_irreducibles(H) == sorted(set(P.up), key=H.index), P
+
+
+def _disjoint_chains(count: int, length: int) -> FinitePoset:
+    points = [f"c{i}{j}" for i in range(count) for j in range(length)]
+    covers = [(f"c{i}{j}", f"c{i}{j + 1}") for i in range(count) for j in range(length - 1)]
+    return FinitePoset(points, covers)
+
+
+def test_closure_matches_pairwise_reference(corpus7):
     named = [make_medvedev(n) for n in (2, 3, 4)]
     named += [make_delta0(n) for n in (1, 2, 3)] + [make_delta1(n) for n in (3, 4, 5)]
     named += [make_ladder("R1", 8), make_ladder("R2", 3), make_ladder("R2", 4)]
@@ -141,12 +154,22 @@ def test_staged_closure_matches_pairwise_reference(corpus7):
         levels = reference.rank_levels(H, H.regulars)
         assert rank_table(P).ranks == levels, P
         assert is_regularly_generated(H) == (len(levels) == len(H)), P
-        subsets = [rnd.sample(H.elements, min(len(H), rnd.randint(1, 3))) for _ in range(2)]
+        subsets = [rnd.sample(H.elements, min(len(H), rnd.randint(1, 3))) for _ in range(3)]
         for seeds in (H.regulars, *subsets):
             want = reference.generated_subalgebra(H, seeds)
             assert close_under(H, seeds) == reference.rank_levels(H, seeds), (P, seeds)
             assert generated_subalgebra(H, seeds) == tuple(sorted(want, key=H.index)), (P, seeds)
     assert len(corpus7) == 2450
+    # closures that stop short of H after an implication level
+    H = dual_algebra(_disjoint_chains(4, 4))
+    cases = [(H, [H.elements[i] for i in (373, 66, 434, 313, 349)], 400)]
+    H = dual_algebra(_disjoint_chains(5, 5))
+    rnd = random.Random(5)
+    cases += [(H, rnd.sample(H.elements, 6), 660), (H, rnd.sample(H.elements, 6), 484)]
+    for H, seeds, size in cases:
+        ranks = close_under(H, seeds)
+        assert len(ranks) == size and max(ranks.values()) > 0
+        assert ranks == reference.rank_levels(H, seeds), seeds
 
 
 def _assert_label_constructor_agrees(Q):

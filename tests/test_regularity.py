@@ -239,7 +239,7 @@ def test_rank_table_memory_bound():
 
 def test_rank_table_on_large_ladders(monkeypatch):
     # the regulars of R2@n hold every principal upset: all of H at rank 0,
-    # with no closure pair tried
+    # with nothing charged to the closure
     monkeypatch.setenv("ESAKIA_MAX_SWEEP", "0")
     for n, size in ((5, 1873), (6, 7505)):
         rt = rank_table(make_ladder("R2", n))
