@@ -9,6 +9,7 @@ a tensor formula over an algebra where the tensor is undefined.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -68,7 +69,7 @@ def _load_poset(path: str) -> FinitePoset:
     if isinstance(obj, dict) and "base" in obj and "elements" in obj:
         obj = obj["base"]
     try:
-        return FinitePoset.from_json(json.dumps(obj))
+        return FinitePoset._from_obj(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path} does not describe a poset: {exc}") from exc
 
@@ -259,7 +260,10 @@ def _cmd_dot(args) -> tuple[int, str]:
     return 0, text.rstrip("\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``run``. Parsing
+    leaves it unchanged: each call fills a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="esakialab",
         description="finite poset and Heyting algebra workbench",
@@ -339,3 +343,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -140,26 +140,50 @@ def _extend(
     ``order`` of P, which lists it top-down: the points above x have their
     images when x is reached. An image q is kept for x iff f(up(x)) = up(q):
     monotonicity at x is the inclusion into up(q), and the back condition
-    the reverse one. A plain function: a closure that calls itself would
-    leave a reference cycle for the collector on every search."""
+    the reverse one. Points ``order[:pos]`` are already assigned, with
+    images ``image``.
+
+    Depth-first over an explicit stack, so a long chain costs no
+    interpreter frames: moving on to the next position pushes the current
+    one's candidates still untried, f(strict up) and image before it, and
+    running out of candidates pops back to the position before. Candidates
+    are tried in increasing order, so assignments come out in
+    lexicographic order of the images along ``order``."""
     n, m = len(order), len(Q.points)
     if pos == n:
         if image == Q.full_mask:
             yield assign
         return
-    i = order[pos]
-    # everything strictly above i is already assigned
-    above = 0
-    for j in _bits(P.strict_up(i)):
-        above |= 1 << assign[j]
-    for q in range(m):
-        if Q.up[q] != above | 1 << q:
-            continue  # f(up(i)) = up(f(i)) fails, and no later choice can mend it
-        new_image = image | 1 << q
-        if m - new_image.bit_count() > n - pos - 1:
-            continue  # not enough points left to reach surjectivity
-        assign[i] = q
-        yield from _extend(P, Q, order, assign, pos + 1, new_image)
+    Qup = Q.up
+    stack = []
+    while True:
+        # everything strictly above order[pos] is already assigned
+        above = 0
+        for j in _bits(P.strict_up(order[pos])):
+            above |= 1 << assign[j]
+        candidates = iter(range(m))
+        while True:
+            left = n - pos - 1
+            for q in candidates:
+                if Qup[q] != above | 1 << q:
+                    continue  # f(up(i)) = up(f(i)) fails, and no later choice can mend it
+                new_image = image | 1 << q
+                if m - new_image.bit_count() > left:
+                    continue  # not enough points left to reach surjectivity
+                break
+            else:
+                if not stack:
+                    return
+                candidates, above, image = stack.pop()
+                pos -= 1
+                continue
+            assign[order[pos]] = q
+            if not left:
+                yield assign  # the count check left only the full image
+                continue
+            stack.append((candidates, above, image))
+            pos, image = pos + 1, new_image
+            break
 
 
 def enumerate_surjective_p_morphisms(P: FinitePoset, Q: FinitePoset) -> list[PMorphism]:

@@ -251,7 +251,11 @@ class FinitePoset:
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":
         """Read ``{"points": [str], "leq": [[str, str]], "name": str}``; name is optional."""
-        obj = json.loads(text)
+        return cls._from_obj(json.loads(text))
+
+    @classmethod
+    def _from_obj(cls, obj) -> "FinitePoset":
+        """The poset an already decoded ``from_json`` object describes."""
         points, leq, name = obj["points"], obj["leq"], obj.get("name", "")
         if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
             raise ValueError("points must be a list of strings")

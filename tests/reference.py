@@ -7,12 +7,13 @@ own operations, and validity sweeps every valuation through them.
 Join-irreducibles are found by sweeping primality over every pair of
 elements. The tensor joins the core joins of all regular pairs below its
 arguments. Surjective p-morphisms are found by sweeping every point map
-and validating each. Divisibility runs the search from every upset of
-the target, each on its induced subposet. The brute-force regularity
-oracle (``is_regular_bruteforce_all_kernels``) collapses along every set
-partition, pruned only by the count of maximal blocks. Upsets are enumerated
-top-down, each point doubling the list with the masks it may join, then
-sorted by size and member tuple.
+and validating each; the backtracking search itself also runs as a
+recursive generator, one call per node. Divisibility runs the search
+from every upset of the target, each on its induced subposet. The
+brute-force regularity oracle (``is_regular_bruteforce_all_kernels``)
+collapses along every set partition, pruned only by the count of maximal
+blocks. Upsets are enumerated top-down, each point doubling the list
+with the masks it may join, then sorted by size and member tuple.
 A cycle is the first pair i < j, walking i upward and j along i's
 up-row, that reach each other under a closure repeated until it is
 stable. Subalgebras are closed pairwise: each element found is combined,
@@ -176,6 +177,31 @@ def surjective_p_morphisms(P, Q) -> list:
         if f.is_surjective and validate_p_morphism(f):
             found.append(f)
     return found
+
+
+def extend(P, Q, order, assign, pos, image):
+    """The p-morphism search as a recursive generator, one call per node.
+
+    ``morphisms._extend`` with the same arguments yields the same
+    assignments in the same order. It recurses through this module's
+    attribute, so a wrapper set there counts every node."""
+    n, m = len(order), len(Q.points)
+    if pos == n:
+        if image == Q.full_mask:
+            yield assign
+        return
+    i = order[pos]
+    above = 0
+    for j in _bits(P.strict_up(i)):
+        above |= 1 << assign[j]
+    for q in range(m):
+        if Q.up[q] != above | 1 << q:
+            continue
+        new_image = image | 1 << q
+        if m - new_image.bit_count() > n - pos - 1:
+            continue
+        assign[i] = q
+        yield from extend(P, Q, order, assign, pos + 1, new_image)
 
 
 def is_leq_all_upsets(A, B) -> bool:

@@ -1,12 +1,18 @@
+import argparse
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import esakialab
+from esakialab import cli
 from esakialab.cli import run
 from esakialab.heyting import dual_algebra
 from esakialab.poset_core import (
@@ -292,6 +298,28 @@ def test_leq(capsys, written):
     assert code == 0 and json.loads(out) == {"leq": True}
 
 
+def write_chain(tmp_path, n: int) -> str:
+    points = [f"c{i}" for i in range(n)]
+    path = tmp_path / f"chain{n}.json"
+    pairs = list(zip(points, points[1:]))
+    path.write_text(json.dumps({"name": f"C{n}", "points": points, "leq": pairs}))
+    return str(path)
+
+
+def test_leq_on_a_chain_past_the_recursion_limit(capsys, tmp_path):
+    # the search goes one point deeper per point of the chain
+    chain = write_chain(tmp_path, 1200)
+    assert invoke(capsys, "leq", chain, chain) == (0, "leq: yes\n", "")
+
+
+def test_antichain_on_chains_past_the_recursion_limit(capsys, tmp_path):
+    chains = write_chain(tmp_path, 1200), write_chain(tmp_path, 1201)
+    code, out, err = invoke(capsys, "antichain", *chains)
+    assert (code, err) == (1, "")
+    assert "comparable pairs: (C1200,C1201)\n" in out
+    assert out.endswith("antichain: no\n")
+
+
 def test_antichain(capsys, written):
     code, out, _ = invoke(capsys, "antichain", written["F2"], written["F3"])
     assert code == 0
@@ -346,6 +374,71 @@ def test_byte_determinism(capsys, written):
     a = invoke(capsys, "check-regular", written["D4"], "--json")
     b = invoke(capsys, "check-regular", written["D4"], "--json")
     assert a == b
+
+
+def test_parser_is_built_once_per_process(capsys, written, monkeypatch):
+    built = [0]
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    for _ in range(5):
+        assert invoke(capsys, "dot", written["V"])[0] == 0
+        assert invoke(capsys, "leq", written["C2"], written["D4"])[0] == 0
+        assert invoke(capsys, "dual")[0] == 2
+    # the top-level parser and one per subcommand, once
+    assert built[0] == 10
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(capsys, written):
+    V, C2, D4 = written["V"], written["C2"], written["D4"]
+    sequence = [
+        ["dual"],
+        ["--bogus"],
+        ["--help"],
+        ["validate", "--help"],
+        ["validate", C2, "--formula", "p | ~p", "--team", "1"],
+        ["validate", C2, "--formula", "p | ~p", "--dna"],
+        ["validate", C2, "--formula", "p | ~p"],
+        ["validate", C2, "--formula", "~~p -> p", "--json", "--force"],
+        ["validate", C2, "--formula", "~~p -> p"],
+        ["quotient", D4, "--n", "inf"],
+        ["quotient", D4, "--n", "0"],
+        ["gen", "ladder", "2", "--kind", "R1"],
+        ["gen", "ladder", "2"],
+        ["dual", V, "--json"],
+        ["dual", V],
+        ["check-regular", D4],
+        ["jankov", V],
+        ["leq", C2, D4],
+        ["antichain", written["F2"], written["F3"]],
+        ["dot", V],
+    ]
+    assert {argv[0] for argv in sequence} == {"dual", "--bogus", "--help", *COMMANDS}
+    reused = [invoke(capsys, *argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(invoke(capsys, *argv))
+    assert reused == fresh
+    assert reused[5][1] == "dna: valid\n" and reused[6][1] == "algebraic: invalid\n"
+    assert reused[12][0] == 0 and json.loads(reused[12][1])["name"] == "R0@2"
+
+
+def test_python_dash_m_matches_run(capsys, written):
+    expected = invoke(capsys, "dual", written["V"])
+    src = os.path.dirname(os.path.dirname(esakialab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "esakialab", "dual", written["V"]],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected[1].encode(), b"")
 
 
 # -- the exit-code contract on random input ------------------------------------

@@ -120,42 +120,109 @@ def test_generated_upsets_are_those_with_few_minimal_points(corpus6):
     assert len(corpus6) == 405
 
 
+class _CountingAssign(list):
+    """An assignment list that counts its writes."""
+
+    def __init__(self, items, count):
+        super().__init__(items)
+        self.count = count
+
+    def __setitem__(self, i, q):
+        self.count[0] += 1
+        super().__setitem__(i, q)
+
+
 @pytest.fixture
-def extend_calls(monkeypatch):
-    # the search recurses through the module attribute, so every node is counted
-    calls = [0]
+def search_nodes(monkeypatch):
+    # the search writes one image per node below its root, so a node is a
+    # root or a write
+    nodes = [0]
     real = morphisms._extend
+
+    def counting(P, Q, order, assign, pos, image):
+        nodes[0] += 1
+        return real(P, Q, order, _CountingAssign(assign, nodes), pos, image)
+
+    monkeypatch.setattr(morphisms, "_extend", counting)
+    return nodes
+
+
+@pytest.fixture
+def reference_nodes(monkeypatch):
+    # the recursive reference search in its place, one call per node
+    calls = [0]
+    real = reference.extend
 
     def counting(*args):
         calls[0] += 1
         return real(*args)
 
+    monkeypatch.setattr(reference, "extend", counting)
     monkeypatch.setattr(morphisms, "_extend", counting)
     return calls
 
 
-def test_search_work_is_pinned(extend_calls, corpus_levels):
+def _check_search_work(nodes, corpus_levels):
     report = antichain_verify([make_delta1(n) for n in (3, 4, 5)])
     assert report.is_antichain
-    assert extend_calls[0] == 31758
+    assert nodes[0] == 31758
 
-    extend_calls[0] = 0
+    nodes[0] = 0
     sources = [P for level in corpus_levels[:4] for P in level]
     targets = [P for level in corpus_levels[:5] for P in level]
     holds = sum(is_leq(A, B) for A in sources for B in targets)
-    assert (holds, extend_calls[0]) == (638, 26533)
+    assert (holds, nodes[0]) == (638, 26533)
 
 
-def test_rooted_source_tries_only_principal_upsets(extend_calls):
+def _check_rooted_search_work(nodes):
     # M4 lists small non-principal upsets before the principal ones
     assert is_leq(make_medvedev(3), make_medvedev(4))
-    assert extend_calls[0] == 8
+    assert nodes[0] == 8
 
-    extend_calls[0] = 0
+    nodes[0] = 0
     report = antichain_verify([make_delta1(n) for n in (3, 4, 5, 6)])
     assert report.is_antichain
     assert report.regular_flags == report.strongly_regular_flags == (True,) * 4
-    assert extend_calls[0] == 473918
+    assert nodes[0] == 473918
+
+
+def test_search_work_is_pinned(search_nodes, corpus_levels):
+    _check_search_work(search_nodes, corpus_levels)
+
+
+def test_rooted_source_tries_only_principal_upsets(search_nodes):
+    _check_rooted_search_work(search_nodes)
+
+
+def test_recursive_reference_does_the_pinned_work(reference_nodes, corpus_levels):
+    _check_search_work(reference_nodes, corpus_levels)
+    reference_nodes[0] = 0
+    _check_rooted_search_work(reference_nodes)
+
+
+def test_search_loop_matches_recursive_reference(corpus5):
+    G = [make_delta1(n) for n in (3, 4, 5)]
+    runs = found = 0
+    for family in (corpus5, G):
+        for A in family:
+            for B in family:
+                # B onto A from every upset of B, as is_leq and the full search start it
+                order = morphisms._top_down(B)
+                for u in morphisms._generated_upsets(B, len(B)):
+                    args = (B, A, [i for i in order if u >> i & 1])
+                    got = [tuple(a) for a in morphisms._extend(*args, [-1] * len(B), 0, 0)]
+                    want = [tuple(a) for a in reference.extend(*args, [-1] * len(B), 0, 0)]
+                    assert got == want, (A.up, B.up, u)
+                    runs, found = runs + 1, found + len(got)
+    assert (runs, found) == (82323, 8107)
+
+
+def test_search_on_a_chain_past_the_recursion_limit():
+    # the search goes one point deeper per point of the chain
+    points = [f"c{i}" for i in range(1200)]
+    chain = FinitePoset(points, list(zip(points, points[1:])))
+    (f,) = iter_surjective_p_morphisms(chain, chain)
+    assert f.mapping == tuple(range(1200))
 
 
 def test_is_leq_is_the_search_module_function(c2):
