@@ -66,6 +66,8 @@ def _load_poset(path: str) -> FinitePoset:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise UsageError(f"{path} nests too deeply to decode") from None
     if isinstance(obj, dict) and "base" in obj and "elements" in obj:
         obj = obj["base"]
     try:

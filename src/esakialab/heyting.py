@@ -11,7 +11,6 @@ import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .logic import SweepGuardError, is_dna_valid, is_valid, ml_proxy_formulas, sweep_limit
@@ -56,7 +55,7 @@ class FiniteHeytingAlgebra:
         self._down_tables = _down_tables(base)
         self._components: tuple[FiniteHeytingAlgebra, ...] | None = None
         self._regulars: tuple[int, ...] | None = None
-        self._regular_closure: dict[int, int] | None = None
+        self._regular_closure: tuple[tuple[int, ...], ...] | None = None
         self._tensor_ok: bool | None = None
         self._splits: tuple | None = None
 
@@ -108,15 +107,15 @@ class FiniteHeytingAlgebra:
         return self._regulars
 
     @property
-    def regular_closure(self) -> Mapping[int, int]:
-        """``close_under(self, self.regulars)`` as a read-only map, computed
-        once per algebra: each element the regulars generate, with its
-        implication level. Like ``regulars`` and ``tensor_defined``, only
-        the first read runs the closure and pays its ESAKIA_MAX_SWEEP
-        charge; a read the budget refuses caches nothing."""
+    def regular_closure(self) -> tuple[tuple[int, ...], ...]:
+        """``close_under(self, self.regulars)``, computed once per algebra:
+        the least elements holding each point, level by level. Like
+        ``regulars`` and ``tensor_defined``, only the first read runs the
+        closure and pays its ESAKIA_MAX_SWEEP charge; a read the budget
+        refuses caches nothing."""
         if self._regular_closure is None:
             self._regular_closure = close_under(self, self.regulars)
-        return MappingProxyType(self._regular_closure)
+        return self._regular_closure
 
     def core_join(self, u: int, v: int) -> int:
         return self.neg(self.meet(self.neg(u), self.neg(v)))
@@ -393,71 +392,80 @@ def _submasks(mask: int):
 
 # -- subalgebra generation ----------------------------------------------------
 
-def close_under(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> dict[int, int]:
+def close_under(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """The meet/join/imp closure of seeds plus {0, 1}, staged by level.
 
     Level 0 is the meet/join closure of the seeds and bounds; level k+1
     adds the implications of level k's set and closes again under meet
-    and join. Each element reached maps to the least level holding it.
+    and join. Entry k of the result is g_k, level k's least element
+    holding each point x; the level is the set of joins of its g's
+    (Birkhoff's representation), and the last entry is the closure's.
 
-    A level is the set of joins of its least elements g(x) holding each
-    point x, which _least_holding reads off any generators of the level.
-    With h(x) the join of the g's missing x, every element is a meet of
-    h's, and (join of g's) -> (meet of h's) is the meet of the g -> h; so
-    the g's and the at most |P|^2 g -> h generate the next level. The loop
-    stops when g stops changing, or fills H at the current level once every
-    g(x) is up[x], since each upset joins the principal upsets it holds.
+    _least_holding reads g off any generators of a level. With h(x) the
+    join of the g's missing x, every element is a meet of h's, and
+    (join of g's) -> (meet of h's) is the meet of the g -> h; so the g's
+    and the at most |P|^2 g -> h generate the next level. The loop stops
+    when g repeats or is the principal upsets, which join to every upset.
     Each step's work counts against sweep_limit() before it runs:
-    generators x |P| for the g's, |H| x distinct g's for the joins, and
-    distinct g's x distinct h's for the implications. Seeds that hold every
-    principal upset close on H at level 0 with no charge.
+    generators x |P| for the g's, distinct g's x distinct h's for the
+    implications. Seeds holding every principal upset cost nothing.
     """
-    up = list(H.base.up)
+    up = H.base.up
     gens = {*seeds, H.bot, H.top}
     if gens.issuperset(up):
-        return dict.fromkeys(H.elements, 0)
-    n, limit = len(up), sweep_limit()
-    ranks: dict[int, int] = {}
-    level, work, least = 0, 0, None
+        return (up,)
+    n, limit, work = len(up), sweep_limit(), 0
+    levels: list[tuple[int, ...]] = []
 
     def charge(step: int, what: str) -> None:
         nonlocal work
         if work + step > limit:
             raise SweepGuardError(
-                f"close_under: {work} so far and {step} for level {level}'s {what} "
+                f"close_under: {work} so far and {step} for level {len(levels)}'s {what} "
                 f"make {work + step}, more than the budget of {limit} (ESAKIA_MAX_SWEEP)"
             )
         work += step
 
     while True:
         charge(len(gens) * n, "least elements")
-        g = _least_holding(n, gens, H.top)
-        if g == least:
-            return ranks
+        g = tuple(_least_holding(n, gens, H.top))
+        if levels and g == levels[-1]:
+            return tuple(levels)
+        levels.append(g)
         if g == up:
-            for u in H.elements:
-                ranks.setdefault(u, level)
-            return ranks
-        least, gs = g, set(g)
-        charge(len(H) * len(gs), "joins")
-        joins = {0}
-        for a in gs:
-            joins |= {u | a for u in joins}
-        for u in joins:
-            ranks.setdefault(u, level)
+            return tuple(levels)
+        gs = set(g)
         hs = {reduce(or_, [a for a in gs if not a >> x & 1], 0) for x in range(n)}
         charge(len(gs) * len(hs), "implications")
         gens = gs | {H.imp(a, h) for a in gs for h in hs}
-        level += 1
+
+
+def _level_members(H: FiniteHeytingAlgebra, g: tuple[int, ...], caller: str) -> Iterable[int]:
+    """The level with least elements g: H when g is the principal upsets, else
+    the joins of the distinct g's, charged |H| x distinct g's beforehand."""
+    if g == H.base.up:
+        return H.elements
+    gs = set(g)
+    step, limit = len(H) * len(gs), sweep_limit()
+    if step > limit:
+        raise SweepGuardError(
+            f"{caller}: listing a level's members costs |H| = {len(H)} x {len(gs)} least "
+            f"elements = {step}, more than the budget of {limit} (ESAKIA_MAX_SWEEP)"
+        )
+    joins = {0}
+    for a in gs:
+        joins |= {u | a for u in joins}
+    return joins
 
 
 def generated_subalgebra(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> tuple[int, ...]:
     """Close seeds plus {0, 1} under meet, join and imp, in canonical order."""
-    return tuple(sorted(close_under(H, seeds), key=H.index))
+    members = _level_members(H, close_under(H, seeds)[-1], "generated_subalgebra")
+    return tuple(sorted(members, key=H.index))
 
 
 def is_regularly_generated(H: FiniteHeytingAlgebra) -> bool:
-    return len(H.regular_closure) == len(H.elements)
+    return H.regular_closure[-1] == H.base.up
 
 
 # -- tensor, pointwise ---------------------------------------------------------

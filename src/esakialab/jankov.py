@@ -96,44 +96,32 @@ def _witness_terms(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> dict[int, F
     term found in a smallest-first search, ties broken by the operation
     order meet, join, imp, then operand indices.
     """
-    seed_list = sorted(set(seeds), key=H.index)
-    base_terms: list[tuple[int, Formula, int]] = []
-    for u in seed_list:
-        base_terms.append((u, Atom(f"p{H.index(u)}"), 1))
-    if H.bot not in set(seed_list):
-        base_terms.append((H.bot, Bot(), 1))
-    if H.top not in set(seed_list):
-        base_terms.append((H.top, Top(), 1))
-
-    ops = [(0, And, H.meet), (1, Or, H.join), (2, Implies, H.imp)]
+    base: dict[int, Formula] = {u: Atom(f"p{H.index(u)}") for u in seeds}
+    base.setdefault(H.bot, Bot())
+    base.setdefault(H.top, Top())
+    ops = [(And, H.meet), (Or, H.join), (Implies, H.imp)]
     terms: dict[int, Formula] = {}
     sizes: dict[int, int] = {}
     order: list[int] = []
 
-    heap: list[tuple[int, int, int, int, int, int, Formula]] = []
-    tick = 0
-    for u, t, s in base_terms:
-        heapq.heappush(heap, (s, -1, H.index(u), -1, tick, u, t))
-        tick += 1
+    # (size, op rank, operand indices); a key always names one term, and the
+    # term is built only when its entry is the first to reach its value
+    heap = sorted((1, -1, H.index(u), -1) for u in base)
+    els = H.elements
     while heap:
-        size, op_rank, ia, ib, _, value, term = heapq.heappop(heap)
+        size, rank, ia, ib = heapq.heappop(heap)
+        a, b = els[ia], els[ib]
+        value = a if rank < 0 else ops[rank][1](a, b)
         if value in terms:
             continue
-        terms[value] = term
+        terms[value] = base[a] if rank < 0 else ops[rank][0](terms[a], terms[b])
         sizes[value] = size
         order.append(value)
-        for rank, node, fn in ops:
+        for r, (_, fn) in enumerate(ops):
             for other in order:
                 for a, b in ((value, other), (other, value)):
-                    w = fn(a, b)
-                    if w in terms:
-                        continue
-                    s = sizes[a] + sizes[b] + 1
-                    heapq.heappush(
-                        heap,
-                        (s, rank, H.index(a), H.index(b), tick, w, node(terms[a], terms[b])),
-                    )
-                    tick += 1
+                    if fn(a, b) not in terms:
+                        heapq.heappush(heap, (sizes[a] + sizes[b] + 1, r, H.index(a), H.index(b)))
     return terms
 
 

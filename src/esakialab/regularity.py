@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .heyting import FiniteHeytingAlgebra, dual_algebra, regular_upsets
+from .heyting import FiniteHeytingAlgebra, _level_members, dual_algebra, regular_upsets
 from .poset_core import (
     FinitePoset,
     OrderConstructionError,
@@ -85,36 +85,34 @@ def _refine(P: FinitePoset, cls: list[int]) -> list[int]:
     return _first_seen(_renumbered(P.up, [1 << c for c in cls]))
 
 
+def _classes_upto(P: FinitePoset, n: int | None) -> tuple[int, list[int]]:
+    """Level min(n, limit) and its classes, n=None asking for the limit:
+    the first level the next leaves with as many classes, since each
+    level refines the last."""
+    level, cls = 0, _sim0_classes(P)
+    while n is None or level < n:
+        nxt = _refine(P, cls)
+        if len(set(nxt)) == len(set(cls)):
+            break
+        level, cls = level + 1, nxt
+    return level, cls
+
+
 def sim_n(P: FinitePoset, n: int) -> Partition:
     """The level-n trace equivalence: level 0 groups by maximal trace,
     each further level by the set of previous-level classes in the up-set."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    cls = _sim0_classes(P)
-    for _ in range(n):
-        cls = _refine(P, cls)
-    return _classes_to_partition(P, cls)
-
-
-def _stable_classes(P: FinitePoset) -> tuple[int, list[int]]:
-    """The least level n whose partition is the limit, and its classes. Each
-    level refines the last, so the limit is the first level the next leaves
-    with as many classes."""
-    n, cls = 0, _sim0_classes(P)
-    while True:
-        nxt = _refine(P, cls)
-        if len(set(nxt)) == len(set(cls)):
-            return n, cls
-        n, cls = n + 1, nxt
+    return _classes_to_partition(P, _classes_upto(P, n)[1])
 
 
 def sim_infty(P: FinitePoset) -> Partition:
-    return _classes_to_partition(P, _stable_classes(P)[1])
+    return _classes_to_partition(P, _classes_upto(P, None)[1])
 
 
 def sim_stabilization_index(P: FinitePoset) -> int:
     """Least n with the level-n partition equal to the limit partition."""
-    return _stable_classes(P)[0]
+    return _classes_upto(P, None)[0]
 
 
 def quotient(P: FinitePoset, part: Partition) -> FinitePoset:
@@ -256,13 +254,17 @@ class RankTable:
 
 def rank_table(P: FinitePoset) -> RankTable:
     """The implication rank of each element the regular upsets generate:
-    the least level of close_under reaching it, where level 0 is the
+    the first level of close_under listing it, where level 0 is the
     meet/join closure of the regulars with the bounds and each next level
     adds one implication layer. Reads the regular closure of the live
-    algebra of P, so a caller holding that algebra pays for neither twice;
-    the table owns a copy of the map."""
+    algebra of P, so a caller holding that algebra pays for it once; each
+    table owns the map it lists."""
     H = dual_algebra(P)
-    return RankTable(H, dict(H.regular_closure))
+    ranks: dict[int, int] = {}
+    for level, g in enumerate(H.regular_closure):
+        for u in _level_members(H, g, "rank_table"):
+            ranks.setdefault(u, level)
+    return RankTable(H, ranks)
 
 
 @dataclass(frozen=True)
@@ -276,15 +278,13 @@ class SeparationCheck:
 
 def separation_equivalence_check(P: FinitePoset, n: int | None) -> SeparationCheck:
     """Verify both directions of: x and y are level-n equivalent iff they
-    agree on every table element of rank <= n. n=None means the limit
-    level against the whole table."""
-    table = rank_table(P)
-    if n is None:
-        part = sim_infty(P)
-        tests = list(table.domain)
-    else:
-        part = sim_n(P, n)
-        tests = [u for u in table.domain if table.rank(u) <= n]
+    agree on every element of rank <= n (n=None: the limit level against
+    the whole closure). Those elements are the joins of the level's least
+    elements g(x), so only the g's are tested, in canonical order."""
+    H = dual_algebra(P)
+    g = H.regular_closure[-1 if n is None else min(n, len(H.regular_closure) - 1)]
+    part = sim_infty(P) if n is None else sim_n(P, n)
+    tests = sorted(set(g), key=H.index)
     idx = part.block_index()
     for a in range(len(P)):
         for b in range(a + 1, len(P)):
@@ -374,8 +374,10 @@ def morphism_regularity_report(f: PMorphism) -> MorphismRegularityReport:
         if not sim_forward:
             break
 
-    pulled_gen = {f.preimage_mask(v) for v in HT.regular_closure}
-    gen_pullback_equal = pulled_gen == HS.regular_closure.keys()
+    # f^-1 preserves unions and meets, so the pulled-back subalgebra's least
+    # element holding x is f^-1(gT(f(x))); equal least elements, equal sublattices
+    gS, gT = HS.regular_closure[-1], HT.regular_closure[-1]
+    gen_pullback_equal = all(f.preimage_mask(gT[q]) == gS[x] for x, q in enumerate(f.mapping))
     if gen_pullback_equal != sim_forward:
         raise RuntimeError(
             "polynomial routes disagree; this indicates an implementation bug"

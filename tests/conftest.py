@@ -59,9 +59,8 @@ def diamond():
 @pytest.fixture
 def n6():
     # not regularly generated: its regulars close on 12 of the 19 upsets
-    # at max rank 1. The closure charges 402: 168 at level 0, 180 at
-    # level 1 and 54 for the level-2 least elements, which show that the
-    # closure has stopped growing
+    # at max rank 1. The closure charges 212: 158 through level 1 and 54
+    # for the level-2 least elements, which show that it has stopped growing
     return FinitePoset(
         ["x0", "x1", "x2", "x3", "x4", "x5"],
         [("x0", "x3"), ("x0", "x4"), ("x0", "x5"), ("x1", "x3"), ("x1", "x5"), ("x2", "x4")],

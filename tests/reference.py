@@ -12,7 +12,8 @@ recursive generator, one call per node. Divisibility runs the search
 from every upset of the target, each on its induced subposet. The
 brute-force regularity oracle (``is_regular_bruteforce_all_kernels``)
 collapses along every set partition, pruned only by the count of maximal
-blocks. Upsets are enumerated top-down, each point doubling the list
+blocks. The rank-versus-bisimulation separation tests every element of
+rank at most n, and the generated pullback compares whole member sets. Upsets are enumerated top-down, each point doubling the list
 with the masks it may join, then sorted by size and member tuple.
 A cycle is the first pair i < j, walking i upward and j along i's
 up-row, that reach each other under a closure repeated until it is
@@ -300,6 +301,25 @@ def rank_levels(H, seeds) -> dict[int, int]:
         for u in grown - current:
             ranks[u] = level
         current = grown
+
+
+def separation_failure(P, ranks, n, part) -> tuple[str, str] | None:
+    """The first pair of points, in index order, on which the partition
+    ``part`` and agreement on every element of rank <= n (all of ``ranks``
+    when n is None) disagree, testing element by element."""
+    tests = [u for u, k in ranks.items() if n is None or k <= n]
+    idx = part.block_index()
+    for a in range(len(P)):
+        for b in range(a + 1, len(P)):
+            agree = all((u >> a & 1) == (u >> b & 1) for u in tests)
+            if agree != (idx[a] == idx[b]):
+                return P.points[a], P.points[b]
+    return None
+
+
+def generated_pullback_equal(f, source_members, target_members) -> bool:
+    """Whether f^-1 carries the target's members onto the source's, as sets."""
+    return {f.preimage_mask(v) for v in target_members} == set(source_members)
 
 
 def upsets(P) -> list[int]:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import esakialab
-from esakialab import cli
+from esakialab import cli, regularity
 from esakialab.cli import run
 from esakialab.heyting import dual_algebra
 from esakialab.poset_core import (
@@ -118,14 +118,14 @@ def test_check_regular_small_poset_adds_morphism(capsys, written):
 
 
 def test_check_regular_closure_guard(capsys, tmp_path, n6, monkeypatch):
-    # N6's regulars close at a charge of 402
+    # N6's regulars close at a charge of 212
     path = tmp_path / "n6.json"
     path.write_text(n6.to_json(), encoding="utf-8")
-    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "401")
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "211")
     code, out, err = invoke(capsys, "check-regular", str(path))
     assert code == 2 and one_error_line(out, err)
     assert err.startswith("error: close_under: ")
-    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "402")
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "212")
     code, out, err = invoke(capsys, "check-regular", str(path))
     assert code == 0 and err == ""
     assert out.startswith("regular: no ")
@@ -150,6 +150,24 @@ def test_quotient(capsys, written):
     assert json.loads(out)["points"] == ["r", "a", "b"]
     assert invoke(capsys, "quotient", written["V"], "--n", "-1")[0] == 2
     assert invoke(capsys, "quotient", written["V"], "--n", "x")[0] == 2
+
+
+def test_quotient_past_the_limit_level(capsys, tmp_path, monkeypatch):
+    # the refinement stops at the limit level, however large n is
+    path = tmp_path / "m2.json"
+    path.write_text(make_medvedev(2).to_json(), encoding="utf-8")
+    code, want, err = invoke(capsys, "quotient", str(path), "--n", "inf")
+    assert code == 0 and err == ""
+    calls = [0]
+    real = regularity._refine
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(regularity, "_refine", counting)
+    assert invoke(capsys, "quotient", str(path), "--n", "10000000000") == (0, want, "")
+    assert calls[0] == 1  # M2's level 0 is already the limit
 
 
 def test_quotient_label_clash(capsys, tmp_path):
@@ -361,6 +379,26 @@ def test_file_errors(capsys, tmp_path, written):
             code, out, err = invoke(capsys, cmd, str(shape))
             assert (code, out) == (2, ""), text
             assert err.startswith("error:") and err.count("\n") == 1, text
+
+
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, written):
+    # deeper than the interpreter's recursion limit, which json.loads reaches
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+    obj = json.loads(make_medvedev(2).to_json())
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps(obj)[:-1] + ', "extra": ' + "[" * 3000 + "]" * 3000 + "}")
+    for path in (str(deep), str(extra)):
+        for argv in (
+            ("dual", path),
+            ("dot", path),
+            ("leq", path, written["V"]),
+            ("leq", written["V"], path),
+            ("validate", path, "--formula", "p | ~p", "--team", "1"),
+        ):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 2 and one_error_line(out, err), argv
+            assert "nests too deeply" in err, argv
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from esakialab import heyting
+from esakialab import heyting, regularity
 from esakialab.heyting import (
     FiniteHeytingAlgebra,
     TensorUndefinedError,
@@ -35,7 +35,11 @@ from esakialab.poset_core import (
     make_ladder,
     make_medvedev,
 )
-from esakialab.regularity import morphism_regularity_report, rank_table
+from esakialab.regularity import (
+    morphism_regularity_report,
+    rank_table,
+    separation_equivalence_check,
+)
 
 import reference
 from corpus import is_isomorphic
@@ -235,41 +239,59 @@ def test_regular_generation_on_large_ladders(monkeypatch):
         assert is_regularly_generated(H)
 
 
+def _four_4_chains() -> FinitePoset:
+    return FinitePoset(
+        [f"c{i}{j}" for i in range(4) for j in range(4)],
+        [(f"c{i}{j}", f"c{i}{j + 1}") for i in range(4) for j in range(3)],
+    )
+
+
 def test_closure_memory_bound_on_a_non_generating_closure():
     # four disjoint 4-chains: |H| = 625 but about 23 |H| convex sets, so a
     # closure holding every difference u & ~v of a level at once would peak
     # at about 1.9 MB here. These seeds close on 400 elements after an
-    # implication level; beside the ranks a level holds at most |P| g's,
-    # |P| h's and |P|^2 implications
-    P = FinitePoset(
-        [f"c{i}{j}" for i in range(4) for j in range(4)],
-        [(f"c{i}{j}", f"c{i}{j + 1}") for i in range(4) for j in range(3)],
-    )
-    H = dual_algebra(P)
+    # implication level; a level holds at most |P| g's, |P| h's and |P|^2
+    # implications, and only the listing holds the 400 members
+    H = dual_algebra(_four_4_chains())
     seeds = [H.elements[i] for i in (373, 66, 434, 313, 349)]
     tracemalloc.start()
     try:
-        ranks = close_under(H, seeds)
+        levels = close_under(H, seeds)
+        members = generated_subalgebra(H, seeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (len(H), len(ranks)) == (625, 400)
-    assert max(ranks.values()) > 0
+    assert (len(H), len(members), len(levels)) == (625, 400, 2)
     assert peak < 800_000
 
 
 def test_closure_pairs_are_guarded(n6, monkeypatch):
     H = dual_algebra(n6)
-    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "401")
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "211")
     with pytest.raises(
         SweepGuardError,
-        match=r"^close_under: .* make 402, more than the budget of 401 \(ESAKIA_MAX_SWEEP\)$",
+        match=r"^close_under: .* make 212, more than the budget of 211 \(ESAKIA_MAX_SWEEP\)$",
     ):
         is_regularly_generated(H)
-    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "402")
-    ranks = close_under(H, H.regulars)
-    assert (len(ranks), len(H), max(ranks.values())) == (12, 19, 1)
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "212")
+    levels = close_under(H, H.regulars)
+    assert (len(generated_subalgebra(H, H.regulars)), len(H), len(levels) - 1) == (12, 19, 1)
     assert not is_regularly_generated(H)
+
+
+def test_member_listing_is_guarded(monkeypatch):
+    # the seeds close at a charge of 1693; listing their 400 members joins
+    # 14 distinct least elements into |H| = 625 sets at most
+    H = dual_algebra(_four_4_chains())
+    seeds = [H.elements[i] for i in (373, 66, 434, 313, 349)]
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "8749")
+    with pytest.raises(
+        SweepGuardError,
+        match=r"^generated_subalgebra: .* = 8750, more than the budget of 8749 \(ESAKIA_MAX_SWEEP\)$",
+    ):
+        generated_subalgebra(H, seeds)
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "8750")
+    assert len(generated_subalgebra(H, seeds)) == 400
 
 
 def test_dual_algebra_is_one_live_object_per_poset(fork):
@@ -310,6 +332,32 @@ def closure_calls(monkeypatch):
     return calls
 
 
+def test_only_ranks_and_generated_subalgebras_list_members(corpus5, monkeypatch):
+    # the least elements answer regular generation, the pullback route and
+    # the separation check without listing a level
+    calls = [0]
+    real = heyting._level_members
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(heyting, "_level_members", counting)
+    monkeypatch.setattr(regularity, "_level_members", counting)
+    for P in corpus5:
+        H = dual_algebra(P)
+        is_regularly_generated(H)
+        identity = PMorphism(P, P, tuple(range(len(P))))
+        assert morphism_regularity_report(identity).generated_pullback_equal
+        for n in (0, 1, None):
+            assert separation_equivalence_check(P, n)
+    assert calls[0] == 0
+    rank_table(P)
+    assert calls[0] == len(H.regular_closure)
+    generated_subalgebra(H, H.regulars)
+    assert calls[0] == len(H.regular_closure) + 1
+
+
 def test_one_regular_closure_per_algebra(fork, closure_calls):
     H = dual_algebra(fork)
     assert is_regularly_generated(H)
@@ -327,7 +375,7 @@ def test_rank_tables_own_their_ranks(fork):
     table = rank_table(fork)
     want = dict(table.ranks)
     table.ranks.clear()
-    assert rank_table(fork).ranks == want == dict(H.regular_closure)
+    assert rank_table(fork).ranks == want == reference.rank_levels(H, H.regulars)
 
 
 def test_tensor_on_fork(fork):

@@ -35,6 +35,7 @@ from esakialab.poset_core import (
     OrderConstructionError,
     PMorphism,
     apply_reduction,
+    iter_surjective_p_morphisms,
     enumerate_reductions,
     make_delta0,
     make_delta1,
@@ -43,7 +44,14 @@ from esakialab.poset_core import (
     p_morphism_violation,
     strong_regularization,
 )
-from esakialab.regularity import quotient, rank_table, sim_infty, sim_n
+from esakialab.regularity import (
+    morphism_regularity_report,
+    quotient,
+    rank_table,
+    separation_equivalence_check,
+    sim_infty,
+    sim_n,
+)
 
 # the empty and one-world teams are covered by the random 3-atom teams
 ONE_ATOM_TEAMS = ([1], [0, 1])
@@ -144,6 +152,18 @@ def _disjoint_chains(count: int, length: int) -> FinitePoset:
     return FinitePoset(points, covers)
 
 
+def _ranks_from_levels(H, levels) -> dict[int, int]:
+    # u is in level k iff g_k(x) <= u for each x in u: u is then the join of those g's
+    ranks = {}
+    for u in H.elements:
+        points = [x for x in range(len(H.base)) if u >> x & 1]
+        for k, g in enumerate(levels):
+            if all(g[x] & ~u == 0 for x in points):
+                ranks[u] = k
+                break
+    return ranks
+
+
 def test_closure_matches_pairwise_reference(corpus7):
     named = [make_medvedev(n) for n in (2, 3, 4)]
     named += [make_delta0(n) for n in (1, 2, 3)] + [make_delta1(n) for n in (3, 4, 5)]
@@ -157,7 +177,8 @@ def test_closure_matches_pairwise_reference(corpus7):
         subsets = [rnd.sample(H.elements, min(len(H), rnd.randint(1, 3))) for _ in range(3)]
         for seeds in (H.regulars, *subsets):
             want = reference.generated_subalgebra(H, seeds)
-            assert close_under(H, seeds) == reference.rank_levels(H, seeds), (P, seeds)
+            ranks = _ranks_from_levels(H, close_under(H, seeds))
+            assert ranks == reference.rank_levels(H, seeds), (P, seeds)
             assert generated_subalgebra(H, seeds) == tuple(sorted(want, key=H.index)), (P, seeds)
     assert len(corpus7) == 2450
     # closures that stop short of H after an implication level
@@ -167,9 +188,40 @@ def test_closure_matches_pairwise_reference(corpus7):
     rnd = random.Random(5)
     cases += [(H, rnd.sample(H.elements, 6), 660), (H, rnd.sample(H.elements, 6), 484)]
     for H, seeds, size in cases:
-        ranks = close_under(H, seeds)
+        ranks = _ranks_from_levels(H, close_under(H, seeds))
         assert len(ranks) == size and max(ranks.values()) > 0
         assert ranks == reference.rank_levels(H, seeds), seeds
+        assert len(generated_subalgebra(H, seeds)) == size
+
+
+def test_separation_matches_the_element_wise_check(corpus6):
+    for P in corpus6:
+        H = dual_algebra(P)
+        ranks = reference.rank_levels(H, H.regulars)
+        for n in (0, 1, 2, 3, 4, None):
+            part = sim_infty(P) if n is None else sim_n(P, n)
+            want = reference.separation_failure(P, ranks, n, part)
+            check = separation_equivalence_check(P, n)
+            assert (check.ok, check.witness and check.witness[:2]) == (want is None, want), (P, n)
+    assert len(corpus6) == 405
+
+
+def test_generated_pullback_matches_the_member_sets(corpus5):
+    members = {}
+    for P in corpus5:
+        H = dual_algebra(P)
+        members[P] = reference.generated_subalgebra(H, H.regulars)
+    verdicts = Counter()
+    for S in corpus5:
+        for T in corpus5:
+            if len(T) > len(S):
+                continue
+            for f in iter_surjective_p_morphisms(S, T):
+                want = reference.generated_pullback_equal(f, members[S], members[T])
+                assert morphism_regularity_report(f).generated_pullback_equal == want, f
+                verdicts[want] += 1
+    assert verdicts[True] and verdicts[False]
+    assert sum(verdicts.values()) == 2766
 
 
 def _assert_label_constructor_agrees(Q):

@@ -58,6 +58,23 @@ def test_sim_discrete_on_fork_and_antichain(fork, a2, w3):
         assert sim_infty(P).is_discrete
 
 
+def test_sim_n_stops_at_the_limit_level(corpus7, monkeypatch):
+    calls = [0]
+    real = regularity._refine
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(regularity, "_refine", counting)
+    for P in corpus7:
+        index = sim_stabilization_index(P)
+        calls[0] = 0
+        assert sim_n(P, 10**12) == sim_infty(P), P
+        # each refines up to the limit level, and once more to see it is stable
+        assert calls[0] == 2 * (index + 1), P
+
+
 def test_sim_negative_level_rejected(c2):
     with pytest.raises(ValueError):
         sim_n(c2, -1)
@@ -255,6 +272,14 @@ def test_separation_equivalence_fixture_sweep(fork, diamond):
         assert bool(check)
     assert separation_equivalence_check(fork, 0).ok
     assert separation_equivalence_check(diamond, None).ok
+
+
+def test_separation_witness_is_the_first_separating_least_element(fork, monkeypatch):
+    # a partition lumping every point together fails on level 0's g's:
+    # g(r) = {r,a,b}, g(a) = {a} and g(b) = {b}, so {a} separates r from a first
+    monkeypatch.setattr(regularity, "sim_n", lambda P, n: Partition(P, (P.full_mask,)))
+    check = separation_equivalence_check(fork, 0)
+    assert check.witness == ("r", "a", 1 << fork.index("a"))
 
 
 def test_separation_verdicts_do_not_depend_on_a_held_algebra(corpus6):
