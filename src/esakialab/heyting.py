@@ -13,8 +13,10 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Mapping
 
-from .logic import SweepGuardError, is_dna_valid, is_valid, ml_proxy_formulas, sweep_limit
+from .logic import SweepGuardError, Symmetry, is_dna_valid, is_valid, ml_proxy_formulas, sweep_limit
 from .poset_core import FinitePoset, PointSet, downset_closure, is_leq  # is_leq: re-exported
+from .poset_core import list_automorphisms
+from .poset_core.poset import _renumbered
 
 # imp reads downsets a byte of the mask at a time
 _TABLE_BITS = 8
@@ -44,6 +46,7 @@ class FiniteHeytingAlgebra:
         "_regular_closure",
         "_tensor_ok",
         "_splits",
+        "_symmetries",
         "__weakref__",
     )
 
@@ -58,6 +61,7 @@ class FiniteHeytingAlgebra:
         self._regular_closure: tuple[tuple[int, ...], ...] | None = None
         self._tensor_ok: bool | None = None
         self._splits: tuple | None = None
+        self._symmetries: dict[bool, tuple] = {}
 
     # -- lattice structure --
 
@@ -131,6 +135,30 @@ class FiniteHeytingAlgebra:
             self._components = () if len(comps) < 2 else tuple(
                 FiniteHeytingAlgebra(self.base.induced(c)) for c in comps)
         return list(self._components) or [self]
+
+    def domain_symmetry(self, regular: bool, budget: int) -> Symmetry | None:
+        """How the base's automorphisms permute ``regulars`` (regular) or
+        ``elements``, as ``logic.refutes`` reads it; None if they all act
+        as the identity there.
+
+        At most ``budget`` search nodes list the automorphisms, and at most
+        budget // |domain| of them are kept, so that the tables cost about
+        as much as the listing. Cached per domain; a larger budget lists
+        again only if the cached listing was cut short."""
+        cached = self._symmetries.get(regular)
+        if cached is not None and (cached[1] or cached[0] >= budget):
+            return cached[2]
+        domain = self.regulars if regular else self.elements
+        maps, _, finished = list_automorphisms(self.base, budget)
+        kept = maps[: budget // len(domain)]
+        place = {u: i for i, u in enumerate(domain)}
+        perms = dict.fromkeys(
+            tuple(place[v] for v in _renumbered(domain, [1 << q for q in m])) for m in kept
+        )
+        perms.pop(tuple(range(len(domain))), None)
+        symmetry = Symmetry(domain, list(perms)) if perms else None
+        self._symmetries[regular] = (budget, finished and len(kept) == len(maps), symmetry)
+        return symmetry
 
     # -- tensor --
 

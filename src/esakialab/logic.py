@@ -84,6 +84,7 @@ class Implies:
 
 Formula = Atom | Bot | Top | And | Or | Tensor | Implies
 _BINARY = (And, Or, Tensor, Implies)
+_LEAVES = frozenset((Atom, Bot, Top))
 
 
 def Neg(f: Formula) -> Implies:
@@ -145,8 +146,15 @@ def big_or(parts: Sequence[Formula]) -> Formula:
 
 # -- parser and formatter -------------------------------------------------
 
-_ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
-_SYMBOLS = ("(+)", "<->", "->", "~", "&", "|", "(", ")")
+_SYMBOLS = ("(+)", "<->", "->", "~", "&", "|", "(", ")")  # "(+)" before "("
+# one alternative per token kind, tried in this order at each position;
+# "bad" takes the one character nothing else matches
+_TOKEN_RE = re.compile(
+    r"(?P<space>\s+)|(?P<sym>{})|(?P<atom>[a-z][a-zA-Z0-9_]*)|(?P<bad>.)".format(
+        "|".join(map(re.escape, _SYMBOLS))
+    ),
+    re.DOTALL,
+)
 
 # symbol -> (precedence, node, right-associative); "~" is the one prefix symbol
 _GRAMMAR = {
@@ -164,24 +172,16 @@ _OPEN = (-1, None, True)  # "(" while pending: under every floor, one nesting le
 
 def _lex(text: str) -> list[tuple[str, str, int]]:
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        for sym in _SYMBOLS:  # "(+)" must be tried before "("
-            if text.startswith(sym, i):
-                out.append(("sym", sym, i))
-                i += len(sym)
-                break
-        else:
-            m = _ATOM_RE.match(text, i)
-            if not m:
-                raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
-            word = m.group()
-            out.append(("const" if word in ("bot", "top") else "atom", word, i))
-            i = m.end()
+        word, at = m.group(), m.start()
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {word!r}", at)
+        if kind == "atom" and word in ("bot", "top"):
+            kind = "const"
+        out.append((kind, word, at))
     out.append(("end", "", len(text)))
     return out
 
@@ -402,7 +402,26 @@ def eval_algebra(H, mu, f: Formula) -> int:
     return values[prog.roots[0]]
 
 
-def refutes(H, domain: Sequence[int], plan, budget: list) -> bool:
+class Symmetry:
+    """Permutations of a sweep's domain, each a tuple of domain indices, as
+    bit tables over their list: per domain value v, bit j of fixes[v] is
+    set iff permutation j fixes v, and of lowers[v] iff it sends v to an
+    earlier place in the domain. every has a bit per permutation."""
+
+    __slots__ = ("fixes", "lowers", "every")
+
+    def __init__(self, domain: Sequence[int], perms: Sequence[Sequence[int]]):
+        self.fixes, self.lowers = dict.fromkeys(domain, 0), dict.fromkeys(domain, 0)
+        self.every = (1 << len(perms)) - 1
+        for j, g in enumerate(perms):
+            for v, w in enumerate(g):
+                if w == v:
+                    self.fixes[domain[v]] |= 1 << j
+                elif w < v:
+                    self.lowers[domain[v]] |= 1 << j
+
+
+def refutes(H, domain: Sequence[int], plan, budget: list, symmetry: Symmetry | None = None) -> bool:
     """True iff some valuation of plan's atoms over domain makes each of its
     equations hold and keeps its target below top.
 
@@ -415,12 +434,18 @@ def refutes(H, domain: Sequence[int], plan, budget: list) -> bool:
     Each value tried costs one unit of budget[0]; once it is spent the
     search answers False, so a caller that finds budget[0] < 0 knows it
     reached no verdict.
+
+    symmetry, which needs a plan without equations, lists automorphisms of
+    H as permutations of domain; the search then tries one valuation per
+    orbit (_refutes_orbit).
     """
     size, atom_node, steps, _, (at, target) = plan
     values = [0] * size
     sweep_nodes(H, steps[0], values)
     if at == 0 and values[target] == H.top:
         return False
+    if symmetry and atom_node:
+        return _refutes_orbit(H, domain, plan, values, budget, 0, symmetry, symmetry.every)
     return not atom_node or _refutes_from(H, domain, plan, values, budget, 0)
 
 
@@ -460,21 +485,72 @@ def _refutes_from(H, domain, plan, values: list[int], budget: list, level: int) 
     return False
 
 
-def _valid_over(H, prog: Program, domain: Sequence[int], force: bool, caller: str) -> bool:
+def _refutes_orbit(
+    H, domain, plan, values: list[int], budget: list, level: int, symmetry: Symmetry, stab: int
+) -> bool:
+    # _refutes_from on a plan without equations, one valuation per orbit.
+    # stab has a bit for each permutation of symmetry that fixes the values
+    # so far. A value that one of them sends earlier is skipped: applied to
+    # the whole valuation, that permutation gives one that comes earlier in
+    # the search order and has the same verdict. So every skip steps back in
+    # the order, the earliest valuation of each orbit is still tried, and so
+    # is the plain sweep's first refuting valuation; this holds for any set
+    # of automorphisms. Once stab is empty the plain search goes on.
+    _, atom_node, steps, _, (at, target) = plan
+    atom, child = atom_node[level], level + 1
+    aim = target if at == child else -1
+    last, top, fixes, lowers = child == len(atom_node), H.top, symmetry.fixes, symmetry.lowers
+    for value in domain:
+        if stab & lowers[value]:
+            continue
+        budget[0] -= 1
+        if budget[0] < 0:
+            return False
+        values[atom] = value
+        sweep_nodes(H, steps[child], values)
+        if aim >= 0 and values[aim] == top:
+            continue
+        if last:
+            return True
+        narrower = stab & fixes[value]
+        if (
+            _refutes_orbit(H, domain, plan, values, budget, child, symmetry, narrower)
+            if narrower
+            else _refutes_from(H, domain, plan, values, budget, child)
+        ):
+            return True
+    return False
+
+
+def _validity_plan(prog: Program) -> tuple:
+    """refutes' plan for prog's first formula: every atom in sorted order, no
+    equations, and the root as the target on the last level."""
+    atom_node, steps, _ = stage_nodes(prog, prog.names)
+    return len(prog.nodes), atom_node, steps, None, (len(atom_node), prog.roots[0])
+
+
+def _valid_over(H, prog: Program, regular: bool, force: bool, caller: str) -> bool:
+    # The sweep over the regulars or all elements of H. Every automorphism
+    # of H's base poset acts on both and commutes with every connective, the
+    # tensor included, so the sweep tries one valuation per orbit as far as
+    # H.domain_symmetry lists them. Its listing budget is 1/|domain| of the
+    # sweep, so a one-atom sweep lists nothing.
+    domain = H.regulars if regular else H.elements
     count = len(domain) ** len(prog.names)
     if not force and count > sweep_limit():
         raise SweepGuardError(
             f"{caller}: {len(domain)}^{len(prog.names)} = {count} valuations, more than "
             f"the budget of {sweep_limit()} (ESAKIA_MAX_SWEEP); pass force=True"
         )
-    atom_node, steps, _ = stage_nodes(prog, prog.names)
-    plan = (len(prog.nodes), atom_node, steps, None, (len(atom_node), prog.roots[0]))
-    return not refutes(H, domain, plan, [math.inf])
+    symmetry = None
+    if len(prog.names) > 1:
+        symmetry = H.domain_symmetry(regular, count // len(domain))
+    return not refutes(H, domain, _validity_plan(prog), [math.inf], symmetry)
 
 
 def is_valid(H, f: Formula, force: bool = False) -> bool:
     """True iff f evaluates to 1 under every valuation into H."""
-    return _valid_over(H, compile_formulas([f]), H.elements, force, "is_valid")
+    return _valid_over(H, compile_formulas([f]), False, force, "is_valid")
 
 
 def is_dna_valid(H, f: Formula, force: bool = False) -> bool:
@@ -485,7 +561,7 @@ def is_dna_valid(H, f: Formula, force: bool = False) -> bool:
     """
     prog = compile_formulas([f])
     parts = H.component_algebras()
-    return all(_valid_over(K, prog, K.regulars, force, "is_dna_valid") for K in parts)
+    return all(_valid_over(K, prog, True, force, "is_dna_valid") for K in parts)
 
 
 # -- team semantics ---------------------------------------------------------
@@ -595,29 +671,56 @@ def team_valid(f: Formula, k: int, force: bool = False) -> bool:
 def dnf_inquisitive(f: Formula) -> list[Formula]:
     """Disjunction-free disjuncts whose join is support-equivalent to f.
 
-    The recursion splits disjunctions, distributes conjunction pairwise and
-    expands an implication over all choice functions from antecedent
-    disjuncts to consequent disjuncts. Tensor is not supported.
+    Bottom-up over the subformulas: a disjunction joins its operands'
+    lists, a conjunction pairs them, and an implication expands over all
+    choice functions from antecedent disjuncts to consequent disjuncts.
+    Tensor is not supported.
     """
     if has_tensor(f):
         raise ValueError("normal form is defined for tensor-free formulas")
     return _dnf(f)
 
 
-def _dnf(g: Formula) -> list[Formula]:
-    # a plain function: a closure that calls itself leaves a reference cycle
-    if isinstance(g, (Atom, Bot, Top)):
-        return [g]
-    if isinstance(g, Or):
-        return _dnf(g.left) + _dnf(g.right)
-    if isinstance(g, And):
-        return [And(a, b) for a in _dnf(g.left) for b in _dnf(g.right)]
-    assert isinstance(g, Implies)
-    ants, cons = _dnf(g.left), _dnf(g.right)
-    out = []
-    for choice in product(range(len(cons)), repeat=len(ants)):
-        out.append(reduce(And, [Implies(a, cons[c]) for a, c in zip(ants, choice)]))
-    return out
+def _dnf(f: Formula) -> list[Formula]:
+    # Post-order over an explicit stack, so nesting costs no interpreter
+    # frames. None on the stack marks the node atop ``waiting`` as ready:
+    # its operands' disjunct lists are the last two in ``done``. Leaf
+    # operands and one-by-one products skip the general expansions, which
+    # build the same disjuncts.
+    done: list[list[Formula]] = []
+    waiting: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g is None:
+            g = waiting.pop()
+            cons = done.pop()
+            ants = done.pop()
+        elif type(g) in _LEAVES:
+            done.append([g])
+            continue
+        elif type(g.left) in _LEAVES and type(g.right) in _LEAVES:
+            ants, cons = [g.left], [g.right]
+        else:
+            waiting.append(g)
+            stack += (None, g.right, g.left)
+            continue
+        kind = type(g)
+        if kind is Or:
+            out = ants + cons
+        elif len(ants) == 1 and len(cons) == 1:
+            out = [kind(ants[0], cons[0])]
+        elif kind is And:
+            out = [And(a, b) for a in ants for b in cons]
+        elif len(cons) == 1:
+            out = [reduce(And, [Implies(a, cons[0]) for a in ants])]
+        else:
+            out = [
+                reduce(And, [Implies(a, cons[c]) for a, c in zip(ants, choice)])
+                for choice in product(range(len(cons)), repeat=len(ants))
+            ]
+        done.append(out)
+    return done[0]
 
 
 # -- named axiom instances ---------------------------------------------------

@@ -186,6 +186,65 @@ def _extend(
             break
 
 
+def list_automorphisms(
+    P: FinitePoset, budget: int
+) -> tuple[tuple[tuple[int, ...], ...], int, bool]:
+    """The order automorphisms of P other than the identity, each as its
+    point map, from a bijection search that assigns at most ``budget``
+    points. Returns (maps, points assigned, whether the search finished).
+
+    Points are taken top-down. Point x may go to an unused y with the same
+    |up| and |down| whose relations to the points already assigned are the
+    images of x's: up(y) and down(y) meet the used images exactly in
+    f(up(x)) and f(down(x)) of the assigned points. So every complete
+    assignment is an automorphism. Candidates are tried in increasing
+    order, on an explicit stack like ``_extend``'s, so the maps come out
+    in the same order on every run. A search the budget stops returns the
+    maps it found, which are automorphisms all the same."""
+    n = len(P.points)
+    if n == 0:
+        return (), 0, True
+    order = _top_down(P)
+    key = [(P.up[i].bit_count(), P.down[i].bit_count()) for i in range(n)]
+    like = [[y for y in range(n) if key[y] == key[x]] for x in range(n)]
+    assign, maps, stack = [-1] * n, [], []
+    pos = done = used = nodes = 0
+    while True:
+        x = order[pos]
+        ups = downs = 0
+        for j in _bits(P.up[x] & done):
+            ups |= 1 << assign[j]
+        for j in _bits(P.down[x] & done):
+            downs |= 1 << assign[j]
+        candidates = iter(like[x])
+        while True:
+            for y in candidates:
+                if not used >> y & 1 and P.up[y] & used == ups and P.down[y] & used == downs:
+                    break
+            else:
+                if not stack:
+                    return tuple(maps), nodes, True
+                candidates, ups, downs = stack.pop()
+                pos -= 1
+                x = order[pos]
+                done ^= 1 << x
+                used ^= 1 << assign[x]
+                continue
+            if nodes == budget:
+                return tuple(maps), nodes, False
+            nodes += 1
+            assign[x] = y
+            if pos == n - 1:
+                if any(q != i for i, q in enumerate(assign)):
+                    maps.append(tuple(assign))
+                continue
+            stack.append((candidates, ups, downs))
+            done |= 1 << x
+            used |= 1 << y
+            pos += 1
+            break
+
+
 def enumerate_surjective_p_morphisms(P: FinitePoset, Q: FinitePoset) -> list[PMorphism]:
     """All surjective p-morphisms P onto Q, sorted by their mapping tuple."""
     return sorted(iter_surjective_p_morphisms(P, Q), key=lambda f: f.mapping)

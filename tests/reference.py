@@ -22,12 +22,17 @@ in both argument orders, with itself and every element found before it,
 and the implication ranks re-run the whole meet/join closure and the
 full implication sweep at every level. The p-morphism check walks every
 monotone pair, then builds each point's image again for the back
-condition. The parser is recursive precedence climbing, one call per
-nesting level. All are slow and meant for small inputs only.
+condition. The lexer reads a character at a time, trying each symbol in
+turn, and the parser is recursive precedence climbing, one call per
+nesting level. The normal form recurses once per subformula occurrence.
+Automorphisms are every permutation of the points that preserves the
+order both ways. All are slow and meant for small inputs only.
 """
 from __future__ import annotations
 
-from itertools import product
+import re
+from functools import reduce
+from itertools import permutations, product
 from operator import and_, or_
 
 from esakialab.logic import (
@@ -41,7 +46,6 @@ from esakialab.logic import (
     Or,
     Tensor,
     Top,
-    _lex,
     atoms,
 )
 from esakialab.poset_core import (
@@ -380,11 +384,68 @@ def p_morphism_violation(f) -> tuple[str, str, str] | None:
     return None
 
 
+def automorphisms(P) -> list[tuple[int, ...]]:
+    """Every order automorphism of P other than the identity, in
+    lexicographic order of the point map."""
+    n = len(P.points)
+    return [
+        g for g in permutations(range(n))
+        if g != tuple(range(n))
+        and all(P.up[i] >> j & 1 == P.up[g[i]] >> g[j] & 1 for i in range(n) for j in range(n))
+    ]
+
+
+_ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+_SYMBOLS = ("(+)", "<->", "->", "~", "&", "|", "(", ")")
+
+
+def lex(text: str) -> list[tuple[str, str, int]]:
+    """Tokens as (kind, text, offset), one character at a time: skip a
+    space, else try each symbol in turn, else read an atom."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        for sym in _SYMBOLS:  # "(+)" must be tried before "("
+            if text.startswith(sym, i):
+                out.append(("sym", sym, i))
+                i += len(sym)
+                break
+        else:
+            m = _ATOM_RE.match(text, i)
+            if not m:
+                raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
+            word = m.group()
+            out.append(("const" if word in ("bot", "top") else "atom", word, i))
+            i = m.end()
+    out.append(("end", "", len(text)))
+    return out
+
+
+def dnf(g) -> list:
+    """Disjunction-free disjuncts of g, one recursive call per subformula
+    occurrence."""
+    if isinstance(g, (Atom, Bot, Top)):
+        return [g]
+    if isinstance(g, Or):
+        return dnf(g.left) + dnf(g.right)
+    if isinstance(g, And):
+        return [And(a, b) for a in dnf(g.left) for b in dnf(g.right)]
+    ants, cons = dnf(g.left), dnf(g.right)
+    return [
+        reduce(And, [Implies(a, cons[c]) for a, c in zip(ants, choice)])
+        for choice in product(range(len(cons)), repeat=len(ants))
+    ]
+
+
 class _Parser:
     """Precedence climbing: one call per "~", "(" and right-hand operand."""
 
     def __init__(self, text: str):
-        self.tokens = _lex(text)
+        self.tokens = lex(text)
         self.pos = 0
 
     def peek(self):

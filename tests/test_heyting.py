@@ -27,7 +27,7 @@ from esakialab.heyting import (
     regular_upsets,
 )
 from esakialab.jankov import _witness_terms
-from esakialab.logic import SweepGuardError, format_formula
+from esakialab.logic import SweepGuardError, format_formula, is_valid, parse
 from esakialab.poset_core import (
     FinitePoset,
     PMorphism,
@@ -433,6 +433,29 @@ def test_tensor_axiom_sweep_is_guarded(fork, monkeypatch):
         check_inqb_tensor_axioms(fork)
     monkeypatch.setenv("ESAKIA_MAX_SWEEP", "625")
     assert check_inqb_tensor_axioms(fork).ok_except_printed_form
+
+
+def test_validity_lists_automorphisms_inside_its_budget(monkeypatch):
+    # a two-atom sweep over |H| elements lists for at most |H| nodes and
+    # keeps at most one automorphism per |H| nodes; the antichain has 12!
+    listings, original = [], heyting.list_automorphisms
+
+    def recorded(P, budget):
+        listings.append((budget, original(P, budget)))
+        return listings[-1][1]
+
+    monkeypatch.setattr(heyting, "list_automorphisms", recorded)
+    antichain = FinitePoset([f"x{i}" for i in range(12)], [])
+    cases = ((make_ladder("R2", 4), "(p -> q) -> p -> p", True), (antichain, "p -> q", False))
+    for P, text, want in cases:
+        H = dual_algebra(P)
+        assert is_valid(H, parse(text), force=True) == want
+        budget, (_, nodes, _) = listings.pop()
+        assert budget == len(H) and nodes <= budget
+        symmetry = H.domain_symmetry(False, budget)
+        assert symmetry.every.bit_length() <= budget // len(H)
+    assert not listings
+    assert (len(dual_algebra(make_ladder("R2", 4))), len(dual_algebra(antichain))) == (465, 4096)
 
 
 def test_tensor_axiom_report_on_trivial(p1):

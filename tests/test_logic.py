@@ -1,5 +1,7 @@
 import gc
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,10 @@ from esakialab.logic import (
     Tensor,
     Top,
     UnboundAtomError,
+    _validity_plan,
     atoms,
     axiom_instances,
+    compile_formulas,
     dnf_inquisitive,
     enumerate_formulas,
     eval_algebra,
@@ -35,6 +39,7 @@ from esakialab.logic import (
     is_valid,
     ml_proxy_formulas,
     parse,
+    refutes,
     sample_formulas,
     sweep_limit,
     team_eval,
@@ -170,6 +175,37 @@ def test_algebra_sweeps_leave_no_garbage():
     assert garbage == 0
 
 
+class _CountedTop(int):
+    """An int that counts the comparisons made against it. An int subclass
+    is asked first when compared with a plain int, so the sweep's check of
+    its target against top lands here once per leaf."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        _CountedTop.compared += 1
+        return int(self) == other
+
+    __hash__ = int.__hash__
+
+
+def test_nd3_on_m4_regulars_sweeps_one_valuation_per_orbit():
+    # Aut(M4) permutes the 4 maximal points, and a valuation of the four
+    # atoms by regulars is a 4 x 4 0/1 matrix, one column per maximal
+    # point: its orbits are the multisets of 4 columns, C(19, 4) = 3,876
+    H = dual_algebra(make_medvedev(4))
+    plan = _validity_plan(compile_formulas([axiom_instances("ND", k=3)]))
+    symmetry = H.domain_symmetry(True, 16 ** 3)
+    leaves = []
+    for sym in (None, symmetry):
+        _CountedTop.compared = 0
+        counted = SimpleNamespace(top=_CountedTop(H.top), bot=H.bot, imp=H.imp, tensor_op=None)
+        assert not refutes(counted, H.regulars, plan, [math.inf], sym)
+        leaves.append(_CountedTop.compared)
+    assert leaves == [16 ** 4, 3876]
+    assert len(symmetry.fixes) == 16 and symmetry.every == (1 << 23) - 1
+
+
 def test_eval_unbound_atom(c2):
     with pytest.raises(UnboundAtomError):
         eval_algebra(dual_algebra(c2), {}, parse("p"))
@@ -219,6 +255,14 @@ def test_format_deep_negation_chain():
     for _ in range(2000):
         f = Neg(f)
     assert format_formula(f) == "~" * 2000 + "p"
+
+
+def test_dnf_deep_negation_chain():
+    f = P
+    for _ in range(2000):
+        f = Neg(f)
+    (g,) = dnf_inquisitive(f)
+    assert format_formula(g) == "~" * 2000 + "p"
 
 
 def test_parse_rejects_runaway_nesting():

@@ -225,6 +225,32 @@ def test_search_on_a_chain_past_the_recursion_limit():
     assert f.mapping == tuple(range(1200))
 
 
+def test_automorphism_listing_matches_permutation_sweep(corpus6):
+    for P in corpus6 + [make_medvedev(3), make_delta0(1), make_delta1(3)]:
+        maps, nodes, finished = morphisms.list_automorphisms(P, 10**6)
+        assert finished and nodes <= 10**6
+        assert sorted(maps) == reference.automorphisms(P), P
+
+
+def test_automorphism_listing_work_is_pinned():
+    antichain = FinitePoset([f"x{i}" for i in range(12)], [])
+    counts = {
+        P.name: morphisms.list_automorphisms(P, 10**5)[1:]
+        for P in (make_medvedev(4), make_medvedev(5), make_delta1(5), make_ladder("R2", 4))
+    }
+    assert counts == {
+        "medvedev4": (328, True), "medvedev5": (3445, True), "G5": (6996, True),
+        "R2@4": (88, True),
+    }
+    assert len(morphisms.list_automorphisms(make_medvedev(4), 328)[0]) == 23
+    # a budget that runs out keeps what it found: 12! automorphisms here
+    maps, nodes, finished = morphisms.list_automorphisms(antichain, 500)
+    assert (nodes, finished) == (500, False)
+    assert maps and all(sorted(g) == list(range(12)) for g in maps)
+    assert morphisms.list_automorphisms(make_medvedev(4), 327)[1:] == (327, False)
+    assert morphisms.list_automorphisms(FinitePoset([]), 0) == ((), 0, True)
+
+
 def test_is_leq_is_the_search_module_function(c2):
     assert heyting.is_leq is jankov.is_leq is cli.is_leq is morphisms.is_leq
     empty = FinitePoset([])

@@ -1,4 +1,5 @@
 """The fast paths against the literal reference routes."""
+import math
 import random
 from collections import Counter
 
@@ -19,13 +20,20 @@ from esakialab.heyting import (
 from esakialab.logic import (
     FormulaSyntaxError,
     Team,
+    _dnf,
+    _lex,
+    _validity_plan,
     atoms,
+    compile_formulas,
+    dnf_inquisitive,
     enumerate_formulas,
     eval_algebra,
     format_formula,
     is_dna_valid,
     is_valid,
+    ml_proxy_formulas,
     parse,
+    refutes,
     sample_formulas,
     team_eval,
     team_valid,
@@ -44,6 +52,7 @@ from esakialab.poset_core import (
     p_morphism_violation,
     strong_regularization,
 )
+from esakialab.poset_core.poset import _renumbered
 from esakialab.regularity import (
     morphism_regularity_report,
     quotient,
@@ -113,6 +122,91 @@ def test_validity_matches_reference_sweep(corpus5):
             verdicts[valid, dna] += 1
     assert len(corpus5) == 87
     assert verdicts == {(False, False): 1995, (False, True): 40, (True, True): 1625}
+
+
+def _plain_valid(H, f, regular: bool) -> bool:
+    prog = compile_formulas([f])
+    domain = H.regulars if regular else H.elements
+    return not refutes(H, domain, _validity_plan(prog), [math.inf])
+
+
+def test_orbit_sweep_matches_the_plain_sweep(corpus5):
+    # the plain sweep reads the whole algebra's regulars, so the orbit
+    # sweep on each component algebra is checked as well; four atoms only
+    # where the plain sweep has at most 16^4 valuations
+    two = sample_formulas(["p", "q"], 9, 12, seed=41) + [
+        parse("(p -> q) | (q -> p)"),
+        parse("~p | ~~p | q"),
+    ]
+    three = sample_formulas(["p", "q", "r"], 11, 8, seed=42) + list(ml_proxy_formulas()[:2])
+    four = sample_formulas(["p", "q", "r", "s"], 13, 6, seed=43) + [ml_proxy_formulas()[2]]
+    tensor = sample_formulas(["p", "q", "r"], 9, 6, seed=44, with_tensor=True)
+    verdicts = Counter()
+    for P in corpus5:
+        H = dual_algebra(P)
+        some = two + three + (tensor if H.tensor_defined() else [])
+        for regular, check in ((False, is_valid), (True, is_dna_valid)):
+            size = len(H.regulars if regular else H.elements)
+            for f in some + (four if size <= 16 else []):
+                got = check(H, f, force=True)
+                assert got == _plain_valid(H, f, regular), (P, f, regular)
+                verdicts[regular, got] += 1
+    assert verdicts == {
+        (False, False): 1529, (False, True): 1159, (True, False): 1545, (True, True): 1199
+    }
+
+
+class _LoggedImp:
+    """An algebra's operations for refutes, logging imp's left argument."""
+
+    def __init__(self, H):
+        self.top, self.bot, self.tensor_op, self.imp_of = H.top, H.bot, H.tensor_op, H.imp
+        self.lefts = []
+
+    def imp(self, u, v):
+        self.lefts.append(u)
+        return self.imp_of(u, v)
+
+
+def _leaves(H, domain, target: str, symmetry):
+    """The verdict of p -> q -> r -> target and the valuations the sweep
+    reached, as index triples: each leaf values r -> target, then q -> .,
+    then p -> ., so imp's left arguments give r, q, p in turn."""
+    logged = _LoggedImp(H)
+    plan = _validity_plan(compile_formulas([parse(f"p -> q -> r -> {target}")]))
+    found = refutes(logged, domain, plan, [math.inf], symmetry)
+    place = {u: i for i, u in enumerate(domain)}
+    lefts = [place[u] for u in logged.lefts]
+    return found, [(lefts[i + 2], lefts[i + 1], lefts[i]) for i in range(0, len(lefts), 3)]
+
+
+def test_orbit_sweep_reaches_each_orbits_least_valuation(corpus5):
+    # The least valuation of each orbit, and so the first refuting
+    # valuation of the plain sweep, must be reached (on domains of at most
+    # 20 values). A rule that skipped values sent to a later place would be
+    # sound as well, but would reach other valuations.
+    groups = 0
+    for P in corpus5 + [make_medvedev(3)]:
+        H = dual_algebra(P)
+        for regular in (False, True):
+            domain = H.regulars if regular else H.elements
+            symmetry = H.domain_symmetry(regular, len(domain) ** 2)
+            if symmetry is None or len(domain) > 20:
+                continue
+            groups += 1
+            place = {u: i for i, u in enumerate(domain)}
+            group = [
+                [place[v] for v in _renumbered(domain, [1 << q for q in g])]
+                for g in reference.automorphisms(P)
+            ]
+            _, every = _leaves(H, domain, "r", None)
+            _, reached = _leaves(H, domain, "r", symmetry)
+            least = {min([t] + [tuple(g[i] for i in t) for g in group]) for t in every}
+            assert least <= set(reached) <= set(every), (P, regular)
+            assert len(reached) < len(every)
+            plain, symmetric = _leaves(H, domain, "bot", None), _leaves(H, domain, "bot", symmetry)
+            assert plain[0] == symmetric[0] and plain[1][-1] == symmetric[1][-1], (P, regular)
+    assert groups == 92
 
 
 def test_tensor_matches_regular_pairs_on_small_corpus():
@@ -315,6 +409,39 @@ def _parsed(parser, text):
         return parser(text)
     except FormulaSyntaxError as err:
         return str(err)
+
+
+def _lexed(lex, text):
+    try:
+        return lex(text)
+    except FormulaSyntaxError as err:
+        return str(err), err.pos
+
+
+def test_lexer_matches_the_character_loop():
+    rnd = random.Random(32)
+    pieces = ("p", "q1", "x_Y", "bot", "top", "botx", "~", "&", "|", "(+)", "->", "<->", "(", ")")
+    # \x1c and \u3000 are spaces to str.isspace, \u200b is not; "(+" is "(" and "+"
+    odd = (" ", "\t", "\n", "\x1c", "\u3000", "\u00a0", "\u200b", "$", "P", "1", "+", "-", "<", ">", "é")
+    texts = ["", "   ", "(+", "<-", "- >", "<>", "p$q", "p_1Q", "(+)(+)", "~\x00p"]
+    texts += ["".join(rnd.choices(pieces + odd, k=rnd.randint(1, 10))) for _ in range(20000)]
+    texts += [" ".join(rnd.choices(pieces, k=rnd.randint(0, 12))) for _ in range(10000)]
+    corpora = enumerate_formulas(["p", "q"], 7) + sample_formulas(["p", "q"], 13, 400, seed=4, with_tensor=True)
+    texts += [format_formula(f) for f in corpora]
+    errors = 0
+    for text in texts:
+        got = _lexed(_lex, text)
+        assert got == _lexed(reference.lex, text), text
+        errors += isinstance(got, tuple)
+    assert 5000 < errors < 20010, errors
+
+
+def test_dnf_matches_the_recursive_reference():
+    for f in enumerate_formulas(["p"], 9):
+        assert _dnf(f) == reference.dnf(f)
+    for f in sample_formulas(["p", "q"], 11, 500, seed=5):
+        want = [format_formula(g) for g in reference.dnf(f)]
+        assert [format_formula(g) for g in dnf_inquisitive(f)] == want, f
 
 
 def test_parser_matches_recursive_reference():
