@@ -152,11 +152,15 @@ def jankov_dna_formula(H: FiniteHeytingAlgebra, force: bool = False) -> JankovBu
     s = H.top & ~(1 << root)
     psi = _witness_terms(H, H.regulars)
 
-    conjuncts: list[Formula] = [Iff(psi[H.bot], Bot())]
-    for node, fn in ((And, H.meet), (Or, H.join), (Implies, H.imp)):
-        for a in H.elements:
-            for b in H.elements:
-                conjuncts.append(Iff(node(psi[a], psi[b]), psi[fn(a, b)]))
+    # the operation table: (node, op, a, b, fn(a, b)) for meet, join, imp
+    table = [
+        (node, op, a, b, fn(a, b))
+        for node, op, fn in ((And, OP_AND, H.meet), (Or, OP_OR, H.join), (Implies, OP_IMP, H.imp))
+        for a in H.elements
+        for b in H.elements
+    ]
+    conjuncts = [Iff(psi[H.bot], Bot())]
+    conjuncts += [Iff(node(psi[a], psi[b]), psi[c]) for node, _, a, b, c in table]
     alpha = big_and(conjuncts)
     chi = Implies(alpha, psi[s])
     return JankovBundle(
@@ -166,17 +170,19 @@ def jankov_dna_formula(H: FiniteHeytingAlgebra, force: bool = False) -> JankovBu
         second_greatest=s,
         alpha=alpha,
         chi=chi,
-        plan=_search_plan(H, psi, s),
+        plan=_search_plan(H, psi, s, table),
         dual=dual_poset(H),
     )
 
 
-def _search_plan(H: FiniteHeytingAlgebra, psi: dict[int, Formula], s: int) -> tuple:
+def _search_plan(
+    H: FiniteHeytingAlgebra, psi: dict[int, Formula], s: int, table: list[tuple]
+) -> tuple:
     """chi's refutation search on the algebra of a rooted poset.
 
     A biconditional contains the root iff its two sides agree on the whole
     frame, so alpha's conjuncts become exact equations: the bottom clause
-    and one per operation table entry. The target is psi_s.
+    and one per entry of the operation table. The target is psi_s.
     """
     prog = compile_formulas([*(psi[x] for x in H.elements), Bot()])
     # the atoms of chi are those of the representatives; the atoms of psi_s
@@ -186,13 +192,10 @@ def _search_plan(H: FiniteHeytingAlgebra, psi: dict[int, Formula], s: int) -> tu
     atom_node, steps, level = stage_nodes(prog, order)
     *roots, bot = prog.roots
     node = dict(zip(H.elements, roots))
-    table = [(OP_AND, node[H.bot], node[H.bot], bot)]  # psi_bot & psi_bot = bot
-    for op, fn in ((OP_AND, H.meet), (OP_OR, H.join), (OP_IMP, H.imp)):
-        for a in H.elements:
-            for b in H.elements:
-                table.append((op, node[a], node[b], node[fn(a, b)]))
+    eqs = [(OP_AND, node[H.bot], node[H.bot], bot)]  # psi_bot & psi_bot = bot
+    eqs += [(op, node[a], node[b], node[c]) for _, op, a, b, c in table]
     equations: list[list[tuple[int, int, int, int]]] = [[] for _ in steps]
-    for eq in table:
+    for eq in eqs:
         equations[max(level[i] for i in eq[1:])].append(eq)
     return len(prog.nodes), atom_node, steps, equations, (level[node[s]], node[s])
 

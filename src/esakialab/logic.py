@@ -435,31 +435,41 @@ def refutes(H, domain: Sequence[int], plan, budget: list, symmetry: Symmetry | N
     search answers False, so a caller that finds budget[0] < 0 knows it
     reached no verdict.
 
-    symmetry, which needs a plan without equations, lists automorphisms of
-    H as permutations of domain; the search then tries one valuation per
-    orbit (_refutes_orbit).
+    symmetry lists automorphisms of H as permutations of domain; the search
+    then tries one valuation per orbit. An automorphism commutes with every
+    connective and fixes top, so it maps a valuation that meets the
+    equations and refutes the target to another one.
     """
     size, atom_node, steps, _, (at, target) = plan
     values = [0] * size
     sweep_nodes(H, steps[0], values)
     if at == 0 and values[target] == H.top:
         return False
-    if symmetry and atom_node:
-        return _refutes_orbit(H, domain, plan, values, budget, 0, symmetry, symmetry.every)
-    return not atom_node or _refutes_from(H, domain, plan, values, budget, 0)
+    stab = symmetry.every if symmetry else 0
+    return not atom_node or _refutes_from(H, domain, plan, values, budget, 0, symmetry, stab)
 
 
-def _refutes_from(H, domain, plan, values: list[int], budget: list, level: int) -> bool:
+def _refutes_from(
+    H, domain, plan, values: list[int], budget: list, level: int, symmetry, stab: int
+) -> bool:
     # The atoms below level are valued and their levels passed. Each value of
     # atom level completes level + 1, which is swept and checked in this loop,
     # so a leaf costs no call; above level 0 every node is binary. A plain
     # function: a closure that calls itself leaves a reference cycle.
+    # stab has a bit for each permutation of symmetry that fixes the values
+    # so far; 0 leaves the whole domain. A value that one of them sends
+    # earlier is skipped: applied to the whole valuation, that permutation
+    # gives one that comes earlier in the search order and has the same
+    # verdict. So every skip steps back in the order, the earliest valuation
+    # of each orbit is still tried, and so is the plain sweep's first
+    # refuting valuation; this holds for any set of automorphisms.
     _, atom_node, steps, equations, (at, target) = plan
     atom, child = atom_node[level], level + 1
     stage, eqs = steps[child], equations[child] if equations else ()
     aim = target if at == child else -1
     last, top, imp, tensor = child == len(atom_node), H.top, H.imp, H.tensor_op
-    for value in domain:
+    tried = [v for v in domain if not stab & symmetry.lowers[v]] if stab else domain
+    for value in tried:
         budget[0] -= 1
         if budget[0] < 0:
             return False
@@ -480,45 +490,9 @@ def _refutes_from(H, domain, plan, values: list[int], budget: list, level: int) 
             if (x & y if op == OP_AND else x | y if op == OP_OR else imp(x, y)) != values[c]:
                 break
         else:
-            if last or _refutes_from(H, domain, plan, values, budget, child):
+            if last or _refutes_from(H, domain, plan, values, budget, child, symmetry,
+                                     stab and stab & symmetry.fixes[value]):
                 return True
-    return False
-
-
-def _refutes_orbit(
-    H, domain, plan, values: list[int], budget: list, level: int, symmetry: Symmetry, stab: int
-) -> bool:
-    # _refutes_from on a plan without equations, one valuation per orbit.
-    # stab has a bit for each permutation of symmetry that fixes the values
-    # so far. A value that one of them sends earlier is skipped: applied to
-    # the whole valuation, that permutation gives one that comes earlier in
-    # the search order and has the same verdict. So every skip steps back in
-    # the order, the earliest valuation of each orbit is still tried, and so
-    # is the plain sweep's first refuting valuation; this holds for any set
-    # of automorphisms. Once stab is empty the plain search goes on.
-    _, atom_node, steps, _, (at, target) = plan
-    atom, child = atom_node[level], level + 1
-    aim = target if at == child else -1
-    last, top, fixes, lowers = child == len(atom_node), H.top, symmetry.fixes, symmetry.lowers
-    for value in domain:
-        if stab & lowers[value]:
-            continue
-        budget[0] -= 1
-        if budget[0] < 0:
-            return False
-        values[atom] = value
-        sweep_nodes(H, steps[child], values)
-        if aim >= 0 and values[aim] == top:
-            continue
-        if last:
-            return True
-        narrower = stab & fixes[value]
-        if (
-            _refutes_orbit(H, domain, plan, values, budget, child, symmetry, narrower)
-            if narrower
-            else _refutes_from(H, domain, plan, values, budget, child)
-        ):
-            return True
     return False
 
 
@@ -674,14 +648,8 @@ def dnf_inquisitive(f: Formula) -> list[Formula]:
     Bottom-up over the subformulas: a disjunction joins its operands'
     lists, a conjunction pairs them, and an implication expands over all
     choice functions from antecedent disjuncts to consequent disjuncts.
-    Tensor is not supported.
+    Tensor is not supported: meeting one raises ValueError.
     """
-    if has_tensor(f):
-        raise ValueError("normal form is defined for tensor-free formulas")
-    return _dnf(f)
-
-
-def _dnf(f: Formula) -> list[Formula]:
     # Post-order over an explicit stack, so nesting costs no interpreter
     # frames. None on the stack marks the node atop ``waiting`` as ready:
     # its operands' disjunct lists are the last two in ``done``. Leaf
@@ -699,6 +667,8 @@ def _dnf(f: Formula) -> list[Formula]:
         elif type(g) in _LEAVES:
             done.append([g])
             continue
+        elif type(g) is Tensor:
+            raise ValueError("normal form is defined for tensor-free formulas")
         elif type(g.left) in _LEAVES and type(g.right) in _LEAVES:
             ants, cons = [g.left], [g.right]
         else:

@@ -391,20 +391,32 @@ def depth_width(P: FinitePoset) -> tuple[int, int]:
         raise ValueError("empty poset has no depth")
     depth = 1 + max(point_depths(P).values())
 
-    # Dilworth via bipartite matching: width = n - max matching on i < j
+    # Dilworth via bipartite matching: width = n - max matching on i < j.
+    # Kuhn's augmenting-path search from each point, depth first over an
+    # explicit stack, so a long path costs no interpreter frames: path holds
+    # the points on the left of the path with an iterator over each one's
+    # successors, via the successors that led from each to the next.
     succ = [list(_bits(P.strict_up(i))) for i in range(n)]
     match_to = [-1] * n
-    matched = sum(_augment(i, succ, match_to, [False] * n) for i in range(n))
+    matched = 0
+    for i in range(n):
+        seen = [False] * n
+        path, via = [(i, iter(succ[i]))], []
+        while path:
+            for j in path[-1][1]:
+                if not seen[j]:
+                    seen[j] = True
+                    break
+            else:
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            via.append(j)
+            if match_to[j] < 0:
+                for (u, _), v in zip(path, via):
+                    match_to[v] = u
+                matched += 1
+                break
+            path.append((match_to[j], iter(succ[match_to[j]])))
     return depth, n - matched
-
-
-def _augment(i: int, succ: list[list[int]], match_to: list[int], seen: list[bool]) -> bool:
-    """Kuhn's step: look for an augmenting path from i. A plain function: a
-    closure that calls itself would leave a reference cycle per call."""
-    for j in succ[i]:
-        if not seen[j]:
-            seen[j] = True
-            if match_to[j] < 0 or _augment(match_to[j], succ, match_to, seen):
-                match_to[j] = i
-                return True
-    return False

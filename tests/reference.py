@@ -26,7 +26,9 @@ condition. The lexer reads a character at a time, trying each symbol in
 turn, and the parser is recursive precedence climbing, one call per
 nesting level. The normal form recurses once per subformula occurrence.
 Automorphisms are every permutation of the points that preserves the
-order both ways. All are slow and meant for small inputs only.
+order both ways. The width matches points by Kuhn's augmenting paths,
+one recursive call per step of a path. All are slow and meant for small
+inputs only.
 """
 from __future__ import annotations
 
@@ -393,6 +395,25 @@ def automorphisms(P) -> list[tuple[int, ...]]:
         if g != tuple(range(n))
         and all(P.up[i] >> j & 1 == P.up[g[i]] >> g[j] & 1 for i in range(n) for j in range(n))
     ]
+
+
+def width(P) -> int:
+    """Dilworth: the size of a largest antichain is n less a largest
+    matching of the pairs i < j."""
+    n = len(P.points)
+    succ = [list(_bits(P.strict_up(i))) for i in range(n)]
+    match_to = [-1] * n
+    return n - sum(_augment(i, succ, match_to, [False] * n) for i in range(n))
+
+
+def _augment(i: int, succ, match_to: list[int], seen: list[bool]) -> bool:
+    for j in succ[i]:
+        if not seen[j]:
+            seen[j] = True
+            if match_to[j] < 0 or _augment(match_to[j], succ, match_to, seen):
+                match_to[j] = i
+                return True
+    return False
 
 
 _ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")

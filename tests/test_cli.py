@@ -58,11 +58,8 @@ def test_gen_families(capsys):
 def test_gen_starify(capsys, written):
     code, out, _ = invoke(capsys, "gen", "starify", written["C2"])
     assert code == 0
-    star, _ = strong_regularization(
-        __import__("esakialab").FinitePoset.from_json(
-            open(written["C2"], encoding="utf-8").read()
-        )
-    )
+    with open(written["C2"], encoding="utf-8") as fh:
+        star, _ = strong_regularization(FinitePoset.from_json(fh.read()))
     assert out == star.to_json() + "\n"
 
 

@@ -1,5 +1,6 @@
 import gc
 import json
+from collections import Counter
 
 import pytest
 
@@ -86,24 +87,49 @@ def test_recursive_searches_leave_no_garbage(fork, fork_bundle):
     assert garbage == 0
 
 
-def test_refutation_search_work_is_pinned(corpus_levels, corpus5):
-    # every distinct principal upset of the <=5-point corpus is searched, with
-    # no early stop; the count of values tried catches any weakened pruning
-    sources = [
+@pytest.fixture(scope="module")
+def fan_bundles(corpus_levels):
+    # the rooted, regularly generated classes of at most 4 points: the point
+    # and the fans of 2 and 3 leaves
+    return [
         jankov_dna_formula(H, force=True)
         for H in (dual_algebra(P) for level in corpus_levels[:4] for P in level)
         if _root_index(H.base) is not None and is_regularly_generated(H)
     ]
-    assert [len(bundle.atom_names) for bundle in sources] == [2, 4, 8]
-    checks = refuted = 0
+
+
+def test_refutation_search_work_is_pinned(fan_bundles, corpus6):
+    # every distinct principal upset of the <=6-point corpus is searched, with
+    # no early stop, as the divisibility benchmark does; the count of values
+    # tried catches any weakened pruning
+    assert [len(bundle.atom_names) for bundle in fan_bundles] == [2, 4, 8]
+    algebras = [dual_algebra(B.induced(mask)) for B in corpus6 for mask in dict.fromkeys(B.up)]
+    refuted = 0
     budget = [10**6]
-    for bundle in sources:
-        for B in corpus5:
-            for mask in dict.fromkeys(B.up):
-                K = dual_algebra(B.induced(mask))
-                refuted += refutes(K, K.regulars, bundle.plan, budget)
-                checks += 1
-    assert (checks, refuted, 10**6 - budget[0]) == (1197, 476, 12012)
+    for bundle in fan_bundles:
+        for K in algebras:
+            refuted += refutes(K, K.regulars, bundle.plan, budget)
+    assert (len(algebras), refuted, 10**6 - budget[0]) == (2307, 2911, 88172)
+
+
+def test_symmetric_refutation_search_keeps_the_plain_verdict(fan_bundles, corpus5):
+    # an automorphism of K fixes top and commutes with every connective, so
+    # it maps a valuation that meets chi's equations and keeps psi_s below
+    # top to another one: one valuation per orbit gives the plain verdict
+    verdicts = Counter()
+    tried = [0, 0]
+    for bundle in fan_bundles:
+        for P in corpus5:
+            K = dual_algebra(P)
+            symmetry = K.domain_symmetry(True, 10**6)
+            plain, orbit = [10**6], [10**6]
+            want = refutes(K, K.regulars, bundle.plan, plain)
+            assert refutes(K, K.regulars, bundle.plan, orbit, symmetry) == want, (P, bundle)
+            verdicts[want, symmetry is not None] += 1
+            tried[0] += 10**6 - plain[0]
+            tried[1] += 10**6 - orbit[0]
+    assert verdicts == {(True, True): 67, (True, False): 69, (False, True): 38, (False, False): 87}
+    assert tried == [14691, 7927]
 
 
 def test_trivial_bundle_refuted_everywhere(p1, c2, fork, w3, diamond):

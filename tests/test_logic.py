@@ -385,8 +385,9 @@ def test_dnf_disjuncts_are_disjunction_free():
 
 
 def test_dnf_rejects_tensor():
-    with pytest.raises(ValueError):
-        dnf_inquisitive(parse("p (+) q"))
+    for s in ["p (+) q", "~(p (+) q) | r"]:
+        with pytest.raises(ValueError, match="^normal form is defined for tensor-free formulas$"):
+            dnf_inquisitive(parse(s))
 
 
 def test_dnf_support_equivalence_small():

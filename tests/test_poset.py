@@ -130,6 +130,15 @@ def test_point_depths_and_shape(c3, diamond):
     assert depth_width(diamond) == (3, 2)
 
 
+def test_width_takes_an_augmenting_path_longer_than_the_frame_limit():
+    # a_k sits below b_k and b_(k+1), z below b_0 only: matching a_k to b_k
+    # first leaves z an augmenting path through all 1,200 a's to b_1200
+    n = 1200
+    points = [f"b{k}" for k in range(n + 1)] + [f"a{k}" for k in range(n)] + ["z"]
+    pairs = [(f"a{k}", f"b{k + d}") for k in range(n) for d in (0, 1)] + [("z", "b0")]
+    assert depth_width(FinitePoset(points, pairs)) == (2, n + 1)
+
+
 def test_components(fork):
     two = FinitePoset(["a", "b", "c"], [("a", "b")])
     comps = two.components()

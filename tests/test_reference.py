@@ -20,7 +20,6 @@ from esakialab.heyting import (
 from esakialab.logic import (
     FormulaSyntaxError,
     Team,
-    _dnf,
     _lex,
     _validity_plan,
     atoms,
@@ -43,6 +42,7 @@ from esakialab.poset_core import (
     OrderConstructionError,
     PMorphism,
     apply_reduction,
+    depth_width,
     iter_surjective_p_morphisms,
     enumerate_reductions,
     make_delta0,
@@ -418,6 +418,11 @@ def _lexed(lex, text):
         return str(err), err.pos
 
 
+def test_width_matches_the_recursive_matcher(corpus7):
+    for P in corpus7:
+        assert depth_width(P)[1] == reference.width(P), P
+
+
 def test_lexer_matches_the_character_loop():
     rnd = random.Random(32)
     pieces = ("p", "q1", "x_Y", "bot", "top", "botx", "~", "&", "|", "(+)", "->", "<->", "(", ")")
@@ -438,7 +443,7 @@ def test_lexer_matches_the_character_loop():
 
 def test_dnf_matches_the_recursive_reference():
     for f in enumerate_formulas(["p"], 9):
-        assert _dnf(f) == reference.dnf(f)
+        assert dnf_inquisitive(f) == reference.dnf(f)
     for f in sample_formulas(["p", "q"], 11, 500, seed=5):
         want = [format_formula(g) for g in reference.dnf(f)]
         assert [format_formula(g) for g in dnf_inquisitive(f)] == want, f
