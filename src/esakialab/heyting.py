@@ -11,12 +11,12 @@ import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .logic import SweepGuardError, Symmetry, is_dna_valid, is_valid, ml_proxy_formulas, sweep_limit
 from .poset_core import FinitePoset, PointSet, downset_closure, is_leq  # is_leq: re-exported
 from .poset_core import list_automorphisms
-from .poset_core.poset import _renumbered
+from .poset_core.poset import _bits, _renumbered
 
 # imp reads downsets a byte of the mask at a time
 _TABLE_BITS = 8
@@ -201,6 +201,55 @@ def _down_tables(P: FinitePoset) -> tuple[list[int], ...]:
             table += [t | down for t in table]
         tables.append(table)
     return tuple(tables)
+
+
+class UpsetView:
+    """The upset algebra of the subposet on an upset ``top`` of a base poset,
+    read from the base's own masks and downset tables.
+
+    u -> u & top is a surjective Heyting homomorphism from the base's algebra
+    onto this one, so its elements are the base's upsets inside top, meet and
+    join are & and |, and imp is ``FiniteHeytingAlgebra.imp`` over the base's
+    tables: the downset of a set inside top, taken inside top, is its downset
+    in the base cut to top. ``principal_upset_views`` builds the regulars.
+
+    A view has no tensor and no ``domain_symmetry``: both would have to be
+    read from the upset itself, and the base's automorphisms are not the
+    upset's.
+    """
+
+    __slots__ = ("top", "regulars", "_down_tables")
+    bot = 0
+    imp = FiniteHeytingAlgebra.imp
+
+    def __init__(self, top: int, regulars: tuple[int, ...], tables: tuple[list[int], ...]):
+        self.top = top
+        self.regulars = regulars
+        self._down_tables = tables
+
+    def tensor_op(self, u: int, v: int) -> int:
+        raise TensorUndefinedError("an upset view has no tensor: build the upset's own algebra")
+
+
+def principal_upset_views(P: FinitePoset) -> Iterator[UpsetView]:
+    """An ``UpsetView`` of each distinct principal upset of P, in point order,
+    all reading one set of P's downset tables.
+
+    The regulars of the view on U are the hulls {y in U | M(y) inside A} for
+    A inside M(P) & U, the finite case of neg neg V = {y | M(y) inside V};
+    the hulls are shared by the views. They are listed in the canonical
+    order of the induced subposet's algebra, which keeps the points in index
+    order: by size, then by the points in increasing order.
+    """
+    tables, hulls = _down_tables(P), {}
+    for top in dict.fromkeys(P.up):
+        regulars = []
+        for a in _submasks(top & P.maximal_mask):
+            if a not in hulls:
+                hulls[a] = P.m_hull(a)
+            regulars.append(hulls[a] & top)
+        regulars.sort(key=lambda u: (u.bit_count(), tuple(_bits(u))))
+        yield UpsetView(top, tuple(regulars), tables)
 
 
 def dual_algebra(P: FinitePoset) -> FiniteHeytingAlgebra:

@@ -21,6 +21,7 @@ from .heyting import (
     dual_poset,
     is_leq,
     is_regularly_generated,
+    principal_upset_views,
 )
 from .logic import (
     OP_AND,
@@ -209,16 +210,22 @@ def jankov_refutation_check(
     alpha but outside psi_s.  Membership at a point only depends on the
     point's upset, and restricting upsets to it is an algebra homomorphism
     under which every regular element has a regular preimage, so the sweep
-    runs once per distinct principal upset with the point as root.  The
-    result is cross-checked against the order-theoretic route (an upset of
-    Bpos mapping onto the source's dual); divergence would falsify the
-    characteristic-formula theorem, so it is raised, not returned.
+    runs once per distinct principal upset with the point as root.  Each
+    root's algebra is a ``heyting.UpsetView`` on Bpos's own masks: its imp
+    reads Bpos's downset tables, built once per call, and its regulars are
+    the hulls of the maximal points above the root; no subposet or algebra
+    is built per root.  The sweep passes no automorphisms: those a view
+    could list are Bpos's, not the upset's, and listing each upset's own
+    cost more than the orbit sweep saved on the classes of at most 6
+    points.  The result is cross-checked against the order-theoretic route
+    (an upset of Bpos mapping onto the source's dual); divergence would
+    falsify the characteristic-formula theorem, so it is raised, not
+    returned.
     """
     limit = sweep_limit()
     budget = [math.inf if force else limit]
     refuted = False
-    for mask in dict.fromkeys(Bpos.up):
-        K = dual_algebra(Bpos.induced(mask))
+    for K in principal_upset_views(Bpos):
         refuted = refutes(K, K.regulars, bundle.plan, budget)
         if budget[0] < 0:
             raise SweepGuardError(

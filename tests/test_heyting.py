@@ -23,6 +23,7 @@ from esakialab.heyting import (
     is_heyting_iso,
     is_leq,
     is_regularly_generated,
+    principal_upset_views,
     regular_elements,
     regular_upsets,
 )
@@ -35,6 +36,7 @@ from esakialab.poset_core import (
     make_ladder,
     make_medvedev,
 )
+from esakialab.poset_core.poset import _bits, _renumbered
 from esakialab.regularity import (
     morphism_regularity_report,
     rank_table,
@@ -78,6 +80,32 @@ def test_imp_matches_downset_complement_across_three_tables():
     pairs = [(rnd.choice(H.elements), rnd.choice(H.elements)) for _ in range(3000)]
     assert any((u & ~v) >> 16 for u, v in pairs)
     _assert_imp_is_downset_complement(H, pairs)
+
+
+def test_upset_views_match_the_induced_algebras(corpus6):
+    # induced keeps the points in index order, so the induced algebra's
+    # masks map back onto the base's bit by bit
+    views = 0
+    for B in corpus6:
+        for K in principal_upset_views(B):
+            H = dual_algebra(B.induced(K.top))
+            back = dict(zip(H.elements, _renumbered(H.elements, [1 << i for i in _bits(K.top)])))
+            assert (K.top, K.bot) == (back[H.top], back[H.bot]), (B, K.top)
+            assert K.regulars == tuple(back[u] for u in H.regulars), (B, K.top)
+            for u in H.elements:
+                for v in H.elements:
+                    assert K.imp(back[u], back[v]) == back[H.imp(u, v)], (B, K.top, u, v)
+            views += 1
+    assert views == 2307
+
+
+def test_upset_views_answer_no_tensor(fork):
+    # a view reads its base's tables; a tensor or symmetry read there would
+    # belong to the base, not to the upset
+    for K in principal_upset_views(fork):
+        with pytest.raises(TensorUndefinedError):
+            K.tensor_op(K.top, K.top)
+        assert not hasattr(K, "domain_symmetry")
 
 
 def test_canonical_element_order(fork):

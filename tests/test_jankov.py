@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from esakialab import jankov
+from esakialab import heyting, jankov
 from esakialab.heyting import dual_algebra, dual_poset, is_leq, is_regularly_generated
 from esakialab.jankov import (
     MAX_ATOMS,
@@ -110,6 +110,28 @@ def test_refutation_search_work_is_pinned(fan_bundles, corpus6):
         for K in algebras:
             refuted += refutes(K, K.regulars, bundle.plan, budget)
     assert (len(algebras), refuted, 10**6 - budget[0]) == (2307, 2911, 88172)
+
+
+def test_refutation_search_work_is_pinned_on_views(fan_bundles, corpus6, monkeypatch):
+    # the same searches over the views jankov_refutation_check builds, each
+    # check's views recorded in full whatever its early stop: the same roots,
+    # verdicts and values tried as over the induced algebras above
+    views = []
+
+    def recording(B):
+        built = list(heyting.principal_upset_views(B))
+        views.extend(built)
+        return iter(built)
+
+    monkeypatch.setattr(jankov, "principal_upset_views", recording)
+    for B in corpus6:
+        assert jankov_refutation_check(B, fan_bundles[0])
+    refuted = 0
+    budget = [10**6]
+    for bundle in fan_bundles:
+        for K in views:
+            refuted += refutes(K, K.regulars, bundle.plan, budget)
+    assert (len(views), refuted, 10**6 - budget[0]) == (2307, 2911, 88172)
 
 
 def test_symmetric_refutation_search_keeps_the_plain_verdict(fan_bundles, corpus5):
