@@ -14,7 +14,7 @@ from operator import or_
 from typing import Iterable, Iterator, Mapping
 
 from .logic import SweepGuardError, Symmetry, is_dna_valid, is_valid, ml_proxy_formulas, sweep_limit
-from .poset_core import FinitePoset, PointSet, downset_closure, is_leq  # is_leq: re-exported
+from .poset_core import FinitePoset, is_leq  # is_leq: re-exported
 from .poset_core import list_automorphisms
 from .poset_core.poset import _bits, _renumbered
 
@@ -370,36 +370,6 @@ def is_heyting_iso(
 # -- regular elements ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BooleanCore:
-    """The regular elements with the Boolean join x +. y = neg(neg x meet neg y)."""
-
-    algebra: FiniteHeytingAlgebra
-    elements: tuple[int, ...]
-
-    def __contains__(self, u: int) -> bool:
-        return u in set(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def join(self, u: int, v: int) -> int:
-        return self.algebra.core_join(u, v)
-
-    def meet(self, u: int, v: int) -> int:
-        return self.algebra.meet(u, v)
-
-    def imp(self, u: int, v: int) -> int:
-        return self.algebra.imp(u, v)
-
-    def neg(self, u: int) -> int:
-        return self.algebra.neg(u)
-
-
-def regular_elements(H: FiniteHeytingAlgebra) -> BooleanCore:
-    return BooleanCore(H, H.regulars)
-
-
 def regular_upsets(P: FinitePoset) -> list[int]:
     """Upsets U with Int(Cl(U)) = U, computed topologically.
 
@@ -409,8 +379,8 @@ def regular_upsets(P: FinitePoset) -> list[int]:
     full = P.full_mask
     out = []
     for u in P.upsets():
-        cl = downset_closure(P, u)
-        interior = full & ~downset_closure(P, full & ~cl)
+        cl = P.down_mask_of(u)
+        interior = full & ~P.down_mask_of(full & ~cl)
         if interior == u:
             out.append(u)
     return out
@@ -575,12 +545,10 @@ def _split_tensor(splits: tuple, u: int, v: int) -> int:
     return out
 
 
-def tensor_pointwise(P: FinitePoset, U: int | PointSet, V: int | PointSet) -> int:
+def tensor_pointwise(P: FinitePoset, u: int, v: int) -> int:
     """The tensor read off P: x lands in it iff M(x) splits into A and B
-    whose regular hulls sit inside U and V. No algebra tables are consulted.
+    whose regular hulls sit inside u and v. No algebra tables are consulted.
     """
-    u = U.mask if isinstance(U, PointSet) else U
-    v = V.mask if isinstance(V, PointSet) else V
     return _split_tensor(_split_table(P), u, v)
 
 

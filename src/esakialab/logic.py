@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import product
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class FormulaSyntaxError(ValueError):
@@ -333,21 +333,6 @@ def compile_formulas(formulas: Iterable[Formula]) -> Program:
 # -- algebra semantics -----------------------------------------------------
 
 
-class NegativeValuation:
-    """An atom assignment whose every value is a regular algebra element."""
-
-    def __init__(self, algebra, mapping: Mapping[str, int]):
-        regs = set(algebra.regulars)
-        for name, value in mapping.items():
-            if value not in regs:
-                raise ValueError(f"value of {name!r} is not a regular element")
-        self.algebra = algebra
-        self.mapping = dict(mapping)
-
-    def __getitem__(self, name: str) -> int:
-        return self.mapping[name]
-
-
 def sweep_nodes(H, steps, values: list[int]) -> None:
     """Evaluate steps, non-atom nodes as (node, op, left, right), into values;
     elements are upset masks, so meet is & and join is |."""
@@ -625,6 +610,8 @@ def team_eval(t: Team, f: Formula) -> bool:
 
 def team_valid(f: Formula, k: int, force: bool = False) -> bool:
     """True iff every team over the 2^k assignments supports f."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     prog = compile_formulas([f])
     if len(prog.names) > k:
         raise ValueError(f"formula has {len(prog.names)} atoms, more than k={k}")
@@ -757,10 +744,19 @@ def sample_formulas(
     seed: int = 0,
     with_tensor: bool = False,
 ) -> list[Formula]:
-    """Deterministic pseudorandom sample of distinct formulas."""
+    """Deterministic pseudorandom sample of distinct formulas.
+
+    Raises ValueError when fewer than ``count`` distinct formulas fit in
+    ``max_size``, where drawing would never stop.
+    """
     rnd = random.Random(seed)
     ops = [And, Or, Implies] + ([Tensor] if with_tensor else [])
     leaves: list[Formula] = [Bot(), Top()] + [Atom(a) for a in atom_names]
+    total = _formula_count(len(set(leaves)), len(ops), max_size)
+    if count > total:
+        raise ValueError(
+            f"only {total} distinct formulas have size <= {max_size}, asked for {count}"
+        )
 
     seen: set[Formula] = set()
     out: list[Formula] = []
@@ -770,6 +766,18 @@ def sample_formulas(
             seen.add(f)
             out.append(f)
     return out
+
+
+def _formula_count(n_leaves: int, n_ops: int, max_size: int) -> int:
+    """How many distinct formulas have size at most max_size, by the
+    recurrence of enumerate_formulas on counts; the leaves are always
+    counted, since _random_formula draws a leaf on any budget below 3."""
+    by_size = {1: n_leaves}
+    for size in range(3, max_size + 1, 2):
+        by_size[size] = n_ops * sum(
+            by_size[left] * by_size[size - 1 - left] for left in range(1, size - 1, 2)
+        )
+    return sum(by_size.values())
 
 
 def _random_formula(rnd: random.Random, ops, leaves, budget: int) -> Formula:

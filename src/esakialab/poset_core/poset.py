@@ -7,7 +7,6 @@ enumeration) are mask operations on these rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -16,7 +15,7 @@ class OrderConstructionError(ValueError):
 
 
 class ParentMismatchError(ValueError):
-    """A PointSet was used with a poset it does not belong to."""
+    """A partition was used with a poset it does not belong to."""
 
 
 class UnknownPointError(KeyError):
@@ -284,24 +283,6 @@ def _dot_quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """A subset of a specific poset's points, stored as a mask."""
-
-    poset: FinitePoset
-    mask: int
-
-    @property
-    def members(self) -> tuple[str, ...]:
-        return tuple(self.poset.points[i] for i in _bits(self.mask))
-
-    def __contains__(self, label: str) -> bool:
-        return bool(self.mask >> self.poset.index(label) & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-
 def collapse(
     P: FinitePoset, block_of: Sequence[int], labels: Sequence[str], name: str | None = None
 ) -> FinitePoset:
@@ -329,43 +310,34 @@ def _renumbered(masks: Iterable[int], bit: Sequence[int]) -> list[int]:
     return rows
 
 
-def _owned(P: FinitePoset, S: "PointSet | int") -> int:
-    if isinstance(S, int):
-        if S >> len(P.points):
-            raise UnknownPointError(f"mask {S:#x} has bits beyond the poset")
-        return S
-    if S.poset != P:
-        raise ParentMismatchError("point set belongs to a different poset")
-    return S.mask
+def _within(P: FinitePoset, mask: int) -> int:
+    if mask >> len(P.points):
+        raise UnknownPointError(f"mask {mask:#x} has bits beyond the poset")
+    return mask
 
 
-def _like(S: "PointSet | int", P: FinitePoset, mask: int) -> "PointSet | int":
-    return mask if isinstance(S, int) else PointSet(P, mask)
+def upset_closure(P: FinitePoset, mask: int) -> int:
+    """Least upward-closed superset of the mask."""
+    return P.up_mask_of(_within(P, mask))
 
 
-def upset_closure(P: FinitePoset, S: "PointSet | int") -> "PointSet | int":
-    """Least upward-closed superset of S; accepts and returns masks too."""
-    return _like(S, P, P.up_mask_of(_owned(P, S)))
+def downset_closure(P: FinitePoset, mask: int) -> int:
+    """Least downward-closed superset of the mask."""
+    return P.down_mask_of(_within(P, mask))
 
 
-def downset_closure(P: FinitePoset, S: "PointSet | int") -> "PointSet | int":
-    """Least downward-closed superset of S; accepts and returns masks too."""
-    return _like(S, P, P.down_mask_of(_owned(P, S)))
-
-
-def maximal_of(P: FinitePoset, S: "PointSet | int") -> "PointSet | int":
-    """Elements of S with nothing of S strictly above them."""
-    mask = _owned(P, S)
+def maximal_of(P: FinitePoset, mask: int) -> int:
+    """Points of the mask with nothing of the mask strictly above them."""
     out = 0
-    for i in _bits(mask):
+    for i in _bits(_within(P, mask)):
         if P.up[i] & mask == 1 << i:
             out |= 1 << i
-    return _like(S, P, out)
+    return out
 
 
-def immediate_successors(P: FinitePoset, x: str) -> PointSet:
-    """The covers of x; empty iff x is maximal."""
-    return PointSet(P, P.covers_mask(P.index(x)))
+def immediate_successors(P: FinitePoset, x: str) -> int:
+    """The covers of x as a mask; empty iff x is maximal."""
+    return P.covers_mask(P.index(x))
 
 
 def _top_down(P: FinitePoset) -> list[int]:

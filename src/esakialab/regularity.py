@@ -25,7 +25,8 @@ from .poset_core.poset import _bits, _renumbered, collapse
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint blocks (bitmasks) covering the poset, ordered by least member."""
+    """Disjoint nonempty blocks (bitmasks) covering the poset, ordered by
+    least member."""
 
     poset: FinitePoset
     blocks: tuple[int, ...]
@@ -33,6 +34,8 @@ class Partition:
     def __post_init__(self):
         union = 0
         for b in self.blocks:
+            if not b:
+                raise ValueError("empty block")
             if union & b:
                 raise ValueError("blocks overlap")
             union |= b

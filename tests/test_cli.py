@@ -228,6 +228,12 @@ def test_validate_team_with_too_many_atoms(capsys, written):
     assert "more than k=2" in err
 
 
+def test_validate_team_rejects_a_negative_k(capsys, written):
+    code, out, err = invoke(capsys, "validate", written["C2"], "--formula", "top", "--team", "-1")
+    assert code == 2 and one_error_line(out, err)
+    assert err == "error: k must be nonnegative\n"
+
+
 def test_validate_team_skips_the_algebra(capsys, tmp_path):
     # the upset algebra of a 22-point antichain has 2^22 elements; building
     # it took about 25 s, and a wider antichain ran out of memory

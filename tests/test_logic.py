@@ -17,7 +17,6 @@ from esakialab.logic import (
     Iff,
     Implies,
     Neg,
-    NegativeValuation,
     Or,
     SweepGuardError,
     Team,
@@ -211,14 +210,6 @@ def test_eval_unbound_atom(c2):
         eval_algebra(dual_algebra(c2), {}, parse("p"))
 
 
-def test_negative_valuation_gate(c2):
-    H = dual_algebra(c2)
-    with pytest.raises(ValueError):
-        NegativeValuation(H, {"p": 1 << c2.index("m")})
-    nv = NegativeValuation(H, {"p": 0, "q": H.top})
-    assert nv["p"] == 0 and nv["q"] == H.top
-
-
 def test_sweep_guard_trips(c2, monkeypatch):
     monkeypatch.setenv("ESAKIA_MAX_SWEEP", "10")
     H = dual_algebra(c2)
@@ -327,6 +318,9 @@ def test_team_valid_guards():
         team_valid(parse("p | q | r"), 2)
     with pytest.raises(SweepGuardError, match=r"^team_valid: k=3 gives 2\^\(2\^3\) teams.*force"):
         team_valid(parse("p"), 3)
+    for f in ("top", "p"):
+        with pytest.raises(ValueError, match="^k must be nonnegative$"):
+            team_valid(parse(f), -1)
 
 
 def test_team_size_guards_refuse_before_allocating():
@@ -449,3 +443,14 @@ def test_sample_formulas_deterministic():
     assert any(
         has_tensor(f) for f in sample_formulas(["p"], 9, 80, with_tensor=True)
     )
+
+
+def test_sample_formulas_stops_when_too_few_formulas_fit():
+    # only bot, top and p have size 1, so a fourth can never be drawn
+    with pytest.raises(ValueError, match="only 3 distinct formulas"):
+        sample_formulas(["p"], 1, 4)
+    for atom_names, max_size, with_tensor in ((["p"], 1, False), (["p"], 4, True), (["p"], 5, False)):
+        every = set(enumerate_formulas(atom_names, max_size, with_tensor))
+        assert set(sample_formulas(atom_names, max_size, len(every), with_tensor=with_tensor)) == every
+        with pytest.raises(ValueError):
+            sample_formulas(atom_names, max_size, len(every) + 1, with_tensor=with_tensor)

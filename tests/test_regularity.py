@@ -39,6 +39,10 @@ def test_partition_validates_blocks(c2):
         Partition(c2, (0b01,))
     with pytest.raises(ValueError):
         Partition(c2, (0b01, 0b11))
+    # an empty block would count toward is_discrete and quotient to a phantom point
+    for blocks in ((0b01, 0, 0b10), (0, 0b11)):
+        with pytest.raises(ValueError, match="empty block"):
+            Partition(c2, blocks)
     part = Partition(c2, (0b11,))
     assert len(part) == 1 and not part.is_discrete
     assert part.same_block("r", "m")
