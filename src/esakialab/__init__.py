@@ -9,6 +9,7 @@ characteristic refutation formulas, and algebraic, Kripke, negative and
 team semantics with the tensor connective.
 """
 
+from .budget import SweepGuardError, sweep_limit
 from .poset_core import (
     FinitePoset,
     OrderConstructionError,
@@ -62,7 +63,6 @@ from .logic import (
     Implies,
     Neg,
     Or,
-    SweepGuardError,
     Team,
     Tensor,
     Top,
@@ -82,7 +82,6 @@ from .logic import (
     is_valid,
     parse,
     sample_formulas,
-    sweep_limit,
     team_eval,
     team_valid,
 )

@@ -13,9 +13,9 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Mapping
 
-from .logic import SweepGuardError, Symmetry, is_dna_valid, is_valid, ml_proxy_formulas, sweep_limit
-from .poset_core import FinitePoset, is_leq  # is_leq: re-exported
-from .poset_core import list_automorphisms
+from .budget import charge, sweep_limit
+from .logic import Symmetry, is_dna_valid, is_valid, ml_proxy_formulas
+from .poset_core import FinitePoset, is_leq, list_automorphisms  # is_leq: re-exported
 from .poset_core.poset import _bits, _renumbered
 
 # imp reads downsets a byte of the mask at a time
@@ -453,28 +453,20 @@ def close_under(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> tuple[tuple[in
     (join of g's) -> (meet of h's) is the meet of the g -> h; so the g's
     and the at most |P|^2 g -> h generate the next level. The loop stops
     when g repeats or is the principal upsets, which join to every upset.
-    Each step's work counts against sweep_limit() before it runs:
-    generators x |P| for the g's, distinct g's x distinct h's for the
-    implications. Seeds holding every principal upset cost nothing.
+    Each step's work joins a running total before it runs, charged once past
+    sweep_limit(): generators x |P| for the g's, distinct g's x distinct h's
+    for the implications. Seeds holding every principal upset cost nothing.
     """
     up = H.base.up
     gens = {*seeds, H.bot, H.top}
     if gens.issuperset(up):
         return (up,)
-    n, limit, work = len(up), sweep_limit(), 0
+    n, cap, work = len(up), sweep_limit(), 0
     levels: list[tuple[int, ...]] = []
-
-    def charge(step: int, what: str) -> None:
-        nonlocal work
-        if work + step > limit:
-            raise SweepGuardError(
-                f"close_under: {work} so far and {step} for level {len(levels)}'s {what} "
-                f"make {work + step}, more than the budget of {limit} (ESAKIA_MAX_SWEEP)"
-            )
-        work += step
-
     while True:
-        charge(len(gens) * n, "least elements")
+        work += len(gens) * n
+        if work > cap:
+            charge("close_under", f"total to level {len(levels)}'s least elements", work, "steps")
         g = tuple(_least_holding(n, gens, H.top))
         if levels and g == levels[-1]:
             return tuple(levels)
@@ -483,7 +475,9 @@ def close_under(H: FiniteHeytingAlgebra, seeds: Iterable[int]) -> tuple[tuple[in
             return tuple(levels)
         gs = set(g)
         hs = {reduce(or_, [a for a in gs if not a >> x & 1], 0) for x in range(n)}
-        charge(len(gs) * len(hs), "implications")
+        work += len(gs) * len(hs)
+        if work > cap:
+            charge("close_under", f"total to level {len(levels) - 1}'s implications", work, "steps")
         gens = gs | {H.imp(a, h) for a in gs for h in hs}
 
 
@@ -493,12 +487,7 @@ def _level_members(H: FiniteHeytingAlgebra, g: tuple[int, ...], caller: str) -> 
     if g == H.base.up:
         return H.elements
     gs = set(g)
-    step, limit = len(H) * len(gs), sweep_limit()
-    if step > limit:
-        raise SweepGuardError(
-            f"{caller}: listing a level's members costs |H| = {len(H)} x {len(gs)} least "
-            f"elements = {step}, more than the budget of {limit} (ESAKIA_MAX_SWEEP)"
-        )
+    charge(caller, f"|H| x least elements = {len(H)} x {len(gs)}", len(H) * len(gs), "steps")
     joins = {0}
     for a in gs:
         joins |= {u | a for u in joins}
@@ -586,12 +575,7 @@ def check_inqb_tensor_axioms(P: FinitePoset) -> TensorAxiomReport:
     (x->z) & (y->k) <= (x(+)y) -> (z(+)k); both verdicts are reported.
     """
     H = dual_algebra(P)
-    checks, limit = len(H) ** 4, sweep_limit()
-    if checks > limit:
-        raise SweepGuardError(
-            f"check_inqb_tensor_axioms: |H| = {len(H)} gives {checks} implication-axiom "
-            f"checks, more than the budget of {limit} (ESAKIA_MAX_SWEEP)"
-        )
+    charge("check_inqb_tensor_axioms", f"|H|^4 = {len(H)}^4", len(H) ** 4, "axiom checks")
     if not H.tensor_defined():
         raise TensorUndefinedError(
             "axiom sweep needs a regularly generated algebra validating the proxy suite"

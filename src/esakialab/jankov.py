@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .budget import SweepGuardError, charge, sweep_limit
 from .heyting import (
     FiniteHeytingAlgebra,
     dual_algebra,
@@ -34,7 +35,6 @@ from .logic import (
     Iff,
     Implies,
     Or,
-    SweepGuardError,
     Top,
     atoms,
     big_and,
@@ -42,7 +42,6 @@ from .logic import (
     format_formula,
     refutes,
     stage_nodes,
-    sweep_limit,
 )
 from .poset_core import FinitePoset
 from .regularity import is_regular_structural, is_strongly_regular
@@ -222,17 +221,13 @@ def jankov_refutation_check(
     falsify the characteristic-formula theorem, so it is raised, not
     returned.
     """
-    limit = sweep_limit()
-    budget = [math.inf if force else limit]
+    budget = [math.inf if force else sweep_limit()]
     refuted = False
     for K in principal_upset_views(Bpos):
         refuted = refutes(K, K.regulars, bundle.plan, budget)
-        if budget[0] < 0:
-            raise SweepGuardError(
-                f"jankov_refutation_check: search passed {limit} nodes (ESAKIA_MAX_SWEEP), of "
-                f"up to {len(K.regulars)}^{len(bundle.atom_names)} valuations at this root; "
-                "pass force=True"
-            )
+        if budget[0] < 0:  # stopped on the node past the budget
+            expr = f"search over a root's {len(K.regulars)}^{len(bundle.atom_names)} valuations"
+            charge("jankov_refutation_check", expr, sweep_limit() + 1, "nodes")
         if refuted:
             break
     structural = is_leq(bundle.dual, Bpos)

@@ -9,13 +9,14 @@ two implications).
 from __future__ import annotations
 
 import math
-import os
 import random
 import re
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+from .budget import SweepGuardError, charge
 
 
 class FormulaSyntaxError(ValueError):
@@ -26,18 +27,6 @@ class FormulaSyntaxError(ValueError):
 
 class UnboundAtomError(KeyError):
     """A formula atom has no value under the given valuation."""
-
-
-class SweepGuardError(RuntimeError):
-    """An exhaustive sweep would exceed the configured evaluation budget."""
-
-
-def sweep_limit() -> int:
-    raw = os.environ.get("ESAKIA_MAX_SWEEP", "10000000")
-    try:
-        return int(raw)
-    except ValueError:
-        raise SweepGuardError(f"ESAKIA_MAX_SWEEP must be an integer, got {raw!r}") from None
 
 
 # -- abstract syntax -----------------------------------------------------
@@ -496,11 +485,8 @@ def _valid_over(H, prog: Program, regular: bool, force: bool, caller: str) -> bo
     # sweep, so a one-atom sweep lists nothing.
     domain = H.regulars if regular else H.elements
     count = len(domain) ** len(prog.names)
-    if not force and count > sweep_limit():
-        raise SweepGuardError(
-            f"{caller}: {len(domain)}^{len(prog.names)} = {count} valuations, more than "
-            f"the budget of {sweep_limit()} (ESAKIA_MAX_SWEEP); pass force=True"
-        )
+    if not force:
+        charge(caller, f"{len(domain)}^{len(prog.names)}", count, "valuations")
     symmetry = None
     if len(prog.names) > 1:
         symmetry = H.domain_symmetry(regular, count // len(domain))
@@ -770,9 +756,8 @@ def sample_formulas(
 
 def _formula_count(n_leaves: int, n_ops: int, max_size: int) -> int:
     """How many distinct formulas have size at most max_size, by the
-    recurrence of enumerate_formulas on counts; the leaves are always
-    counted, since _random_formula draws a leaf on any budget below 3."""
-    by_size = {1: n_leaves}
+    recurrence of enumerate_formulas on counts: none below size 1."""
+    by_size = {1: n_leaves} if max_size >= 1 else {}
     for size in range(3, max_size + 1, 2):
         by_size[size] = n_ops * sum(
             by_size[left] * by_size[size - 1 - left] for left in range(1, size - 1, 2)

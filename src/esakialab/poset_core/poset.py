@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator, Sequence
 
+from ..budget import charge, sweep_limit
+
 
 class OrderConstructionError(ValueError):
     """The input relation cannot be completed to a partial order."""
@@ -185,14 +187,19 @@ class FinitePoset:
 
     def upsets(self) -> list[int]:
         """All upward-closed subsets, as masks, in canonical order: by size, and
-        at one size the set holding the least point where two differ first."""
+        at one size the set holding the least point where two differ first.
+        The listing costs |upsets| x |P|, charged once it passes the budget."""
         # decide points in index order, "in" first (both are always feasible)
+        n = len(self)
+        cap = sweep_limit() // max(n, 1)
         out, stack, full = [], [(0, 0)], self.full_mask
         while stack:
             inside, outside = stack.pop()
             free = full & ~(inside | outside)
             if not free:
                 out.append(inside)
+                if len(out) > cap:
+                    charge("upsets", f"|P| x upsets = {n} x {len(out)}", n * len(out), "steps")
                 continue
             i = (free & -free).bit_length() - 1
             stack.append((inside, outside | self.down[i]))

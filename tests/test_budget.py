@@ -1,0 +1,83 @@
+import re
+
+import pytest
+
+from esakialab.budget import SweepGuardError
+from esakialab.heyting import (
+    check_inqb_tensor_axioms,
+    close_under,
+    dual_algebra,
+    generated_subalgebra,
+)
+from esakialab.jankov import jankov_dna_formula, jankov_refutation_check
+from esakialab.logic import is_dna_valid, is_valid, parse
+from esakialab.poset_core import FinitePoset
+from esakialab.regularity import rank_table
+
+# the one message of every ESAKIA_MAX_SWEEP refusal
+SHAPE = re.compile(
+    r"^(\w+): [^\n]+ = (\d+) [a-z -]+, more than the budget of (\d+) \(ESAKIA_MAX_SWEEP\)$"
+)
+
+
+def _antichain5() -> FinitePoset:
+    return FinitePoset(list("abcde"), [])
+
+
+def _rank_table_of_a_closed_algebra(n6):
+    # the regular closure is paid at the default budget; the live algebra
+    # is held so that rank_table reads it and charges only the listing
+    H = dual_algebra(n6)
+    H.regular_closure
+    return lambda: rank_table(H.base)
+
+
+def _members_of_a_closed_level():
+    # no seeds: the closure charges 21 and lists {0, 1} at |H| = 32 x 1 = 32
+    H = dual_algebra(_antichain5())
+    return lambda: generated_subalgebra(H, [])
+
+
+def _jankov_sweep(fork, w3):
+    bundle = jankov_dna_formula(dual_algebra(fork))
+    return lambda: jankov_refutation_check(w3, bundle)
+
+
+FOUR_ATOMS = parse("p & q -> r | s")
+
+# layer, budget, and a maker run under the default budget that returns the
+# call to run under the lowered one
+CASES = [
+    # C2's algebra: 3 elements, 2 regulars
+    ("is_valid", 26, lambda fx: lambda: is_valid(dual_algebra(fx("c2")), parse("p | q -> r"))),
+    ("is_dna_valid", 15, lambda fx: lambda: is_dna_valid(dual_algebra(fx("c2")), FOUR_ATOMS)),
+    ("close_under", 211, lambda fx: lambda: close_under(H := dual_algebra(fx("n6")), H.regulars)),
+    ("generated_subalgebra", 31, lambda fx: _members_of_a_closed_level()),
+    ("rank_table", 18, lambda fx: _rank_table_of_a_closed_algebra(fx("n6"))),
+    ("check_inqb_tensor_axioms", 624, lambda fx: lambda: check_inqb_tensor_axioms(fx("fork"))),
+    ("jankov_refutation_check", 3, lambda fx: _jankov_sweep(fx("fork"), fx("w3"))),
+    ("upsets", 100, lambda fx: _antichain5().upsets),
+]
+
+
+@pytest.mark.parametrize("layer, limit, make", CASES, ids=[case[0] for case in CASES])
+def test_every_charge_refuses_in_one_shape(layer, limit, make, request, monkeypatch):
+    call = make(request.getfixturevalue)
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", str(limit))
+    with pytest.raises(SweepGuardError) as caught:
+        call()
+    shape = SHAPE.match(str(caught.value))
+    assert shape is not None, str(caught.value)
+    assert shape[1] == layer
+    assert int(shape[2]) > int(shape[3]) == limit
+
+
+def test_forced_sweeps_never_read_the_budget(c2, fork, w3, monkeypatch):
+    H = dual_algebra(c2)
+    bundle = jankov_dna_formula(dual_algebra(fork))
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "lots")
+    assert is_valid(H, parse("p | q | r -> p | q | r"), force=True)
+    assert is_dna_valid(H, parse("~~p -> p"), force=True)
+    assert jankov_refutation_check(w3, bundle, force=True)
+    with pytest.raises(SweepGuardError, match="ESAKIA_MAX_SWEEP must be an integer, got 'lots'"):
+        jankov_refutation_check(w3, bundle)

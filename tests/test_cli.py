@@ -114,6 +114,17 @@ def test_check_regular_small_poset_adds_morphism(capsys, written):
     assert out.startswith("regular: no (structural=no")
 
 
+def test_dual_refuses_a_wide_antichain(capsys, tmp_path, monkeypatch):
+    # 2^22 upsets: the listing stops at the default budget, 10^7 // 22 upsets
+    path = tmp_path / "wide22.json"
+    wide = FinitePoset([f"a{i}" for i in range(22)], [])
+    path.write_text(wide.to_json(), encoding="utf-8")
+    monkeypatch.delenv("ESAKIA_MAX_SWEEP", raising=False)
+    code, out, err = invoke(capsys, "dual", str(path))
+    assert code == 2 and one_error_line(out, err)
+    assert err.startswith("error: upsets: |P| x upsets = 22 x 454546 = 10000012 steps, ")
+
+
 def test_check_regular_closure_guard(capsys, tmp_path, n6, monkeypatch):
     # N6's regulars close at a charge of 212
     path = tmp_path / "n6.json"

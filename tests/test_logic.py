@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from esakialab.budget import sweep_limit
 from esakialab.heyting import dual_algebra
 from esakialab.logic import (
     And,
@@ -40,7 +41,6 @@ from esakialab.logic import (
     parse,
     refutes,
     sample_formulas,
-    sweep_limit,
     team_eval,
     team_valid,
 )
@@ -449,7 +449,12 @@ def test_sample_formulas_stops_when_too_few_formulas_fit():
     # only bot, top and p have size 1, so a fourth can never be drawn
     with pytest.raises(ValueError, match="only 3 distinct formulas"):
         sample_formulas(["p"], 1, 4)
-    for atom_names, max_size, with_tensor in ((["p"], 1, False), (["p"], 4, True), (["p"], 5, False)):
+    # and no formula has size 0, as enumerate_formulas says
+    with pytest.raises(ValueError, match="only 0 distinct formulas have size <= 0"):
+        sample_formulas(["p"], 0, 3)
+    for atom_names, max_size, with_tensor in (
+        (["p"], -1, False), (["p"], 0, False), (["p"], 1, False), (["p"], 4, True), (["p"], 5, False)
+    ):
         every = set(enumerate_formulas(atom_names, max_size, with_tensor))
         assert set(sample_formulas(atom_names, max_size, len(every), with_tensor=with_tensor)) == every
         with pytest.raises(ValueError):

@@ -260,10 +260,14 @@ def test_rank_table_memory_bound():
 
 def test_rank_table_on_large_ladders(monkeypatch):
     # the regulars of R2@n hold every principal upset: all of H at rank 0,
-    # with nothing charged to the closure
+    # with nothing charged to the closure; listing the upsets is charged,
+    # so each live algebra is built before the budget drops
+    sizes = {5: 1873, 6: 7505}
+    algebras = [(dual_algebra(make_ladder("R2", n)), size) for n, size in sizes.items()]
     monkeypatch.setenv("ESAKIA_MAX_SWEEP", "0")
-    for n, size in ((5, 1873), (6, 7505)):
-        rt = rank_table(make_ladder("R2", n))
+    for H, size in algebras:
+        rt = rank_table(H.base)
+        assert rt.algebra is H
         assert len(rt.ranks) == len(rt.algebra) == size
         assert rt.max_rank == 0
 
