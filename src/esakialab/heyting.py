@@ -7,6 +7,7 @@ subalgebra generation, and the tensor operation live here.
 from __future__ import annotations
 
 import json
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import reduce
@@ -231,7 +232,7 @@ class UpsetView:
         raise TensorUndefinedError("an upset view has no tensor: build the upset's own algebra")
 
 
-def principal_upset_views(P: FinitePoset) -> Iterator[UpsetView]:
+def principal_upset_views(P: FinitePoset, force: bool = False) -> Iterator[UpsetView]:
     """An ``UpsetView`` of each distinct principal upset of P, in point order,
     all reading one set of P's downset tables.
 
@@ -240,11 +241,20 @@ def principal_upset_views(P: FinitePoset) -> Iterator[UpsetView]:
     the hulls are shared by the views. They are listed in the canonical
     order of the induced subposet's algebra, which keeps the points in index
     order: by size, then by the points in increasing order.
+
+    A root below k maximal points has 2^k hulls, each a pass over P's
+    points: |P| x 2^k steps, charged before the root's listing unless force
+    is set.
     """
+    n, limit = len(P), math.inf if force else sweep_limit()
     tables, hulls = _down_tables(P), {}
     for top in dict.fromkeys(P.up):
+        maxima = top & P.maximal_mask
+        k = maxima.bit_count()
+        if n << k > limit:
+            charge("principal_upset_views", f"|P| x a root's hulls = {n} x 2^{k}", n << k, "steps")
         regulars = []
-        for a in _submasks(top & P.maximal_mask):
+        for a in _submasks(maxima):
             if a not in hulls:
                 hulls[a] = P.m_hull(a)
             regulars.append(hulls[a] & top)

@@ -223,7 +223,7 @@ def jankov_refutation_check(
     """
     budget = [math.inf if force else sweep_limit()]
     refuted = False
-    for K in principal_upset_views(Bpos):
+    for K in principal_upset_views(Bpos, force):
         refuted = refutes(K, K.regulars, bundle.plan, budget)
         if budget[0] < 0:  # stopped on the node past the budget
             expr = f"search over a root's {len(K.regulars)}^{len(bundle.atom_names)} valuations"

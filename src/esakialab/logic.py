@@ -406,8 +406,8 @@ def refutes(H, domain: Sequence[int], plan, budget: list, symmetry: Symmetry | N
     none); and the target's (level, node). A branch dies at its first
     failed check.
     Each value tried costs one unit of budget[0]; once it is spent the
-    search answers False, so a caller that finds budget[0] < 0 knows it
-    reached no verdict.
+    whole search stops and answers False with budget[0] at exactly -1, so
+    a caller that finds budget[0] < 0 knows it reached no verdict.
 
     symmetry lists automorphisms of H as permutations of domain; the search
     then tries one valuation per orbit. An automorphism commutes with every
@@ -467,6 +467,8 @@ def _refutes_from(
             if last or _refutes_from(H, domain, plan, values, budget, child, symmetry,
                                      stab and stab & symmetry.fixes[value]):
                 return True
+            if budget[0] < 0:
+                return False  # the level below spent the budget: stop, charging nothing more
     return False
 
 

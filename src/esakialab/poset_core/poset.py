@@ -39,8 +39,9 @@ class FinitePoset:
     omitted. Equality is by (point labels, order), not by name.
     """
 
-    # _algebra: a weak link to the upset algebra heyting.dual_algebra built last
-    __slots__ = ("points", "up", "down", "name", "_index", "_maximal", "_algebra")
+    # _algebra: a weak link to the upset algebra heyting.dual_algebra built last;
+    # _covers: the covers of each point, listed on first use
+    __slots__ = ("points", "up", "down", "name", "_index", "_maximal", "_algebra", "_covers")
 
     def __init__(
         self,
@@ -100,6 +101,7 @@ class FinitePoset:
         self._index = index
         self._maximal = maximal
         self._algebra = None
+        self._covers = None
         # finite posets always have a maximal point above every point
         assert all(up[i] & maximal for i in range(n))
 
@@ -161,14 +163,28 @@ class FinitePoset:
                 out |= 1 << i
         return out
 
+    @property
+    def covers(self) -> tuple[int, ...]:
+        """The covers of each point as a mask (the transitive reduction), listed
+        once per poset: the minimal points of its strict up-set. Each point
+        still left there drops its own strict up-set; a point already dropped
+        lies above one taken before, so its strict up-set is gone and it is
+        skipped."""
+        if self._covers is None:
+            up, covers = self.up, []
+            for i, row in enumerate(up):
+                out = rest = row ^ 1 << i
+                while rest:
+                    low = rest & -rest
+                    out &= ~(up[low.bit_length() - 1] ^ low)
+                    rest = (rest ^ low) & out
+                covers.append(out)
+            self._covers = tuple(covers)
+        return self._covers
+
     def covers_mask(self, i: int) -> int:
         """Immediate successors of point i: minimal elements of its strict up-set."""
-        strict = self.strict_up(i)
-        out = 0
-        for j in _bits(strict):
-            if strict & self.down[j] == 1 << j:
-                out |= 1 << j
-        return out
+        return self.covers[i]
 
     def up_mask_of(self, mask: int) -> int:
         out = 0
@@ -241,8 +257,8 @@ class FinitePoset:
 
     def cover_pairs(self) -> list[tuple[str, str]]:
         out = []
-        for i in range(len(self.points)):
-            for j in _bits(self.covers_mask(i)):
+        for i, covers in enumerate(self.covers):
+            for j in _bits(covers):
                 out.append((self.points[i], self.points[j]))
         return out
 
@@ -356,10 +372,10 @@ def point_depths(P: FinitePoset) -> dict[str, int]:
     """Depth of each point: 0 for maximal points, else 1 + max over covers."""
     n = len(P.points)
     depth = [0] * n
+    covers = P.covers
     for i in _top_down(P):
-        strict = P.strict_up(i)
-        if strict:
-            depth[i] = 1 + max(depth[j] for j in _bits(strict))
+        if covers[i]:
+            depth[i] = 1 + max(depth[j] for j in _bits(covers[i]))
     return {P.points[i]: depth[i] for i in range(n)}
 
 

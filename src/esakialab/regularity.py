@@ -146,16 +146,13 @@ def quotient_map(P: FinitePoset, part: Partition) -> PMorphism:
 def is_regular_structural(P: FinitePoset) -> bool:
     """Every non-maximal point has >= 2 covers, and distinct non-maximal
     points have distinct cover sets."""
-    seen: dict[int, int] = {}
-    for i in range(len(P)):
-        if P.maximal_mask >> i & 1:
-            continue
-        covers = P.covers_mask(i)
-        if covers.bit_count() < 2:
+    seen = set()
+    for covers in P.covers:
+        if not covers:
+            continue  # a maximal point
+        if covers.bit_count() < 2 or covers in seen:
             return False
-        if covers in seen:
-            return False
-        seen[covers] = i
+        seen.add(covers)
     return True
 
 

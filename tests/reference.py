@@ -15,6 +15,8 @@ collapses along every set partition, pruned only by the count of maximal
 blocks. The rank-versus-bisimulation separation tests every element of
 rank at most n, and the generated pullback compares whole member sets. Upsets are enumerated top-down, each point doubling the list
 with the masks it may join, then sorted by size and member tuple.
+A point's covers are the points above it with no other point between,
+each pair tested against every point.
 A cycle is the first pair i < j, walking i upward and j along i's
 up-row, that reach each other under a closure repeated until it is
 stable. Subalgebras are closed pairwise: each element found is combined,
@@ -340,6 +342,19 @@ def upsets(P) -> list[int]:
                 nxt.append(mask | bit)
         out = nxt
     return sorted(out, key=_mask_key)
+
+
+def covers(P) -> list[int]:
+    """Each point's covers, read from the up-rows alone: the points j of its
+    strict up-set that lie above no other point of that set."""
+    n = len(P.up)
+    out = []
+    for i in range(n):
+        above = [j for j in range(n) if j != i and P.up[i] >> j & 1]
+        out.append(sum(
+            1 << j for j in above if not any(k != j and P.up[k] >> j & 1 for k in above)
+        ))
+    return out
 
 
 def _mask_key(mask: int) -> tuple[int, tuple[int, ...]]:

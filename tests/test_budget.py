@@ -8,6 +8,7 @@ from esakialab.heyting import (
     close_under,
     dual_algebra,
     generated_subalgebra,
+    principal_upset_views,
 )
 from esakialab.jankov import jankov_dna_formula, jankov_refutation_check
 from esakialab.logic import is_dna_valid, is_valid, parse
@@ -38,9 +39,10 @@ def _members_of_a_closed_level():
     return lambda: generated_subalgebra(H, [])
 
 
-def _jankov_sweep(fork, w3):
+def _jankov_sweep(fork, c2):
+    # each root of C2 lists its 2 regulars in 2 x 2^1 = 4 steps, within the budget
     bundle = jankov_dna_formula(dual_algebra(fork))
-    return lambda: jankov_refutation_check(w3, bundle)
+    return lambda: jankov_refutation_check(c2, bundle)
 
 
 FOUR_ATOMS = parse("p & q -> r | s")
@@ -55,7 +57,9 @@ CASES = [
     ("generated_subalgebra", 31, lambda fx: _members_of_a_closed_level()),
     ("rank_table", 18, lambda fx: _rank_table_of_a_closed_algebra(fx("n6"))),
     ("check_inqb_tensor_axioms", 624, lambda fx: lambda: check_inqb_tensor_axioms(fx("fork"))),
-    ("jankov_refutation_check", 3, lambda fx: _jankov_sweep(fx("fork"), fx("w3"))),
+    ("jankov_refutation_check", 4, lambda fx: _jankov_sweep(fx("fork"), fx("c2"))),
+    # W3's root: 4 points x 2^3 hulls
+    ("principal_upset_views", 31, lambda fx: lambda: list(principal_upset_views(fx("w3")))),
     ("upsets", 100, lambda fx: _antichain5().upsets),
 ]
 
@@ -81,3 +85,17 @@ def test_forced_sweeps_never_read_the_budget(c2, fork, w3, monkeypatch):
     assert jankov_refutation_check(w3, bundle, force=True)
     with pytest.raises(SweepGuardError, match="ESAKIA_MAX_SWEEP must be an integer, got 'lots'"):
         jankov_refutation_check(w3, bundle)
+
+
+def test_a_wide_root_is_refused_before_its_hulls(fork, monkeypatch):
+    # a root below 16 maximal points has 2^16 hulls, about a second to list
+    tops = [f"m{i}" for i in range(16)]
+    B = FinitePoset(["r"] + tops, [("r", m) for m in tops])
+    bundle = jankov_dna_formula(dual_algebra(fork))
+    hulls = []
+    real = FinitePoset.m_hull
+    monkeypatch.setattr(FinitePoset, "m_hull", lambda P, mask: hulls.append(mask) or real(P, mask))
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", str(10**6))
+    with pytest.raises(SweepGuardError, match=r"^principal_upset_views: .* = 17 x 2\^16 = 1114112 steps"):
+        jankov_refutation_check(B, bundle)
+    assert hulls == []

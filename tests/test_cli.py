@@ -344,6 +344,13 @@ def test_leq_on_a_chain_past_the_recursion_limit(capsys, tmp_path):
     assert invoke(capsys, "leq", chain, chain) == (0, "leq: yes\n", "")
 
 
+def test_leq_of_the_fork_in_a_long_chain(capsys, written, tmp_path):
+    # every principal upset is searched to its bottom before it fails, so the
+    # cost per search node must not grow with the points above it
+    chain = write_chain(tmp_path, 400)
+    assert invoke(capsys, "leq", written["V"], chain) == (0, "leq: no\n", "")
+
+
 def test_antichain_on_chains_past_the_recursion_limit(capsys, tmp_path):
     chains = write_chain(tmp_path, 1200), write_chain(tmp_path, 1201)
     code, out, err = invoke(capsys, "antichain", *chains)

@@ -60,15 +60,38 @@ def test_bundle_keeps_the_source_dual(fork, p1, c2, w3, diamond, fork_bundle, mo
     assert calls[0] == 0
 
 
-def test_refutation_sweep_is_guarded(w3, fork_bundle, monkeypatch):
-    # the fork's bundle has 4 atoms and W3's root has 8 regulars: 8^4 valuations
-    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "3")
+def test_refutation_sweep_is_guarded(c2, w3, fork_bundle, monkeypatch):
+    # the fork's bundle has 4 atoms and each root of C2 has 2 regulars, listed
+    # in 2 x 2^1 = 4 steps: the sweep over 2^4 valuations stops at the 5th node
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "4")
     with pytest.raises(
         SweepGuardError,
-        match=r"^jankov_refutation_check: .* a root's 8\^4 valuations = 4 nodes, .* budget of 3 ",
+        match=r"^jankov_refutation_check: .* a root's 2\^4 valuations = 5 nodes, .* budget of 4 ",
+    ):
+        jankov_refutation_check(c2, fork_bundle)
+    assert not jankov_refutation_check(c2, fork_bundle, force=True)
+    # W3's root lists its 8 regulars in 4 x 2^3 = 32 steps, refused before its sweep
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "31")
+    with pytest.raises(
+        SweepGuardError,
+        match=r"^principal_upset_views: .* = 4 x 2\^3 = 32 steps, .* budget of 31 ",
     ):
         jankov_refutation_check(w3, fork_bundle)
     assert jankov_refutation_check(w3, fork_bundle, force=True)
+
+
+def test_a_spent_budget_stops_the_whole_search(w3, fork_bundle):
+    # the root's refutation is the 26th value tried; on any smaller budget the
+    # levels that unwind from the overdrawn one try no further value
+    root = next(heyting.principal_upset_views(w3))
+    assert root.top == w3.full_mask
+    for limit in range(1, 26):
+        budget = [limit]
+        assert not refutes(root, root.regulars, fork_bundle.plan, budget)
+        assert budget == [-1], limit
+    budget = [26]
+    assert refutes(root, root.regulars, fork_bundle.plan, budget)
+    assert budget == [0]
 
 
 def test_recursive_searches_leave_no_garbage(fork, fork_bundle):
@@ -118,8 +141,8 @@ def test_refutation_search_work_is_pinned_on_views(fan_bundles, corpus6, monkeyp
     # verdicts and values tried as over the induced algebras above
     views = []
 
-    def recording(B):
-        built = list(heyting.principal_upset_views(B))
+    def recording(B, force):
+        built = list(heyting.principal_upset_views(B, force))
         views.extend(built)
         return iter(built)
 

@@ -371,6 +371,18 @@ def test_upsets_come_in_canonical_order(corpus7):
     assert len(corpus7) == 2450
 
 
+def test_kept_covers_match_the_minimal_points_above(corpus7, p1, c2, c3, a2, fork, w3, diamond, n6):
+    named = [make_medvedev(n) for n in (2, 3, 4)] + [make_delta0(n) for n in (1, 2, 3)]
+    named += [make_delta1(n) for n in (3, 4, 5, 6)]
+    named += [make_ladder(k, n) for k in ("R0", "R1", "R2") for n in (3, 4, 5)]
+    named += [p1, c2, c3, a2, fork, w3, diamond, n6]
+    # a chain listed top first: each point's strict up-set is every earlier point
+    chain = FinitePoset([f"c{i}" for i in range(60)], [(f"c{i + 1}", f"c{i}") for i in range(59)])
+    for P in corpus7 + named + [chain]:
+        assert list(P.covers) == reference.covers(P), P
+    assert len(corpus7) == 2450
+
+
 def test_cycle_messages_match_the_up_row_walk():
     rnd = random.Random(29)
     outcomes = Counter()
