@@ -82,6 +82,11 @@ class JankovBundle:
         return json.dumps(payload, indent=2)
 
 
+def _called(P: FinitePoset) -> str:
+    """How an error message names P, which may have no name."""
+    return f"poset {P.name}" if P.name else "an unnamed poset"
+
+
 def _root_index(P: FinitePoset) -> int | None:
     for i in range(len(P)):
         if P.up[i] == P.full_mask:
@@ -135,12 +140,11 @@ def jankov_dna_formula(H: FiniteHeytingAlgebra, force: bool = False) -> JankovBu
     root = _root_index(H.base)
     if root is None:
         raise ValueError(
-            f"{H.base.name}: dual poset has no root, "
-            "the algebra is not subdirectly irreducible"
+            f"{_called(H.base)} has no root, so its algebra is not subdirectly irreducible"
         )
     if not is_regularly_generated(H):
         raise ValueError(
-            f"{H.base.name}: algebra is not regularly generated, "
+            f"the algebra of {_called(H.base)} is not regularly generated, "
             "no Jankov representative exists for some element"
         )
     if len(H.regulars) > MAX_ATOMS and not force:
@@ -234,7 +238,7 @@ def jankov_refutation_check(
     if refuted != structural:
         raise RuntimeError(
             f"refutation sweep ({refuted}) disagrees with the divisibility "
-            f"search ({structural}) on {Bpos.name}"
+            f"search ({structural}) on {_called(Bpos)}"
         )
     return refuted
 
@@ -282,16 +286,16 @@ def separating_formula(
     both = [*I, *J]
     for P in both:
         if _root_index(P) is None:
-            raise ValueError(f"poset {P.name} is not rooted")
+            raise ValueError(f"{_called(P)} is not rooted")
         if not is_regular_structural(P):
-            raise ValueError(f"poset {P.name} is not regular")
+            raise ValueError(f"{_called(P)} is not regular")
     # posets compare by points and order, so equal ones count once
     reps = list(dict.fromkeys(both))
     for i, P in enumerate(reps):
         for Q in reps[i + 1:]:
             if is_leq(P, Q) or is_leq(Q, P):
                 raise ValueError(
-                    f"posets {P.name} and {Q.name} are comparable, "
+                    f"{_called(P)} and {_called(Q)} are comparable, "
                     "the family is not an antichain"
                 )
     set_i, set_j = set(I), set(J)
@@ -302,12 +306,12 @@ def separating_formula(
     bundle = jankov_dna_formula(dual_algebra(witness), force=force)
     if not jankov_refutation_check(witness, bundle, force=force):
         raise RuntimeError(
-            f"{witness.name} fails to refute its own characteristic formula"
+            f"{_called(witness)} fails to refute its own characteristic formula"
         )
     for Q in other:
         if jankov_refutation_check(Q, bundle, force=force):
             raise RuntimeError(
-                f"characteristic formula of {witness.name} is refuted on "
-                f"{Q.name}, which sits on the opposite side"
+                f"the characteristic formula of {_called(witness)} is refuted on "
+                f"{_called(Q)}, which sits on the opposite side"
             )
     return bundle.chi

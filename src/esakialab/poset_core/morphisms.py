@@ -135,7 +135,8 @@ def _generated_upsets(P: FinitePoset, k: int) -> list[int]:
 
 
 def _extend(
-    P: FinitePoset, Q: FinitePoset, order: list[int], assign: list[int], pos: int, image: int
+    P: FinitePoset, Q: FinitePoset, order: list[int], assign: list[int], pos: int, image: int,
+    like: list[list[int]] | None = None, budget: list | None = None,
 ) -> Iterator[list[int]]:
     """Yield ``assign`` once per surjective p-morphism onto Q from the upset
     ``order`` of P, which lists it top-down: the points above x have their
@@ -152,13 +153,18 @@ def _extend(
     one's candidates still untried, f(strict up) and image before it, and
     running out of candidates pops back to the position before. Candidates
     are tried in increasing order, so assignments come out in
-    lexicographic order of the images along ``order``."""
+    lexicographic order of the images along ``order``.
+
+    ``like[x]``, when given, lists x's candidate images in increasing
+    order in place of all of Q. ``budget`` is a one-element list that loses
+    1 per point assigned; the search stops once it falls below 0, as
+    ``logic.refutes`` does."""
     n, m = len(order), len(Q.points)
     if pos == n:
         if image == Q.full_mask:
             yield assign
         return
-    Pcovers, Qup = P.covers, Q.up
+    Pcovers, Qup, everything = P.covers, Q.up, range(m)
     stack = []
     while True:
         above, rest = 0, Pcovers[order[pos]]
@@ -166,7 +172,7 @@ def _extend(
             low = rest & -rest
             above |= Qup[assign[low.bit_length() - 1]]
             rest ^= low
-        candidates = iter(range(m))
+        candidates = iter(like[order[pos]] if like else everything)
         while True:
             left = n - pos - 1
             for q in candidates:
@@ -182,6 +188,10 @@ def _extend(
                 candidates, above, image = stack.pop()
                 pos -= 1
                 continue
+            if budget:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    return
             assign[order[pos]] = q
             if not left:
                 yield assign  # the count check left only the full image
@@ -195,59 +205,25 @@ def list_automorphisms(
     P: FinitePoset, budget: int
 ) -> tuple[tuple[tuple[int, ...], ...], int, bool]:
     """The order automorphisms of P other than the identity, each as its
-    point map, from a bijection search that assigns at most ``budget``
-    points. Returns (maps, points assigned, whether the search finished).
+    point map, from a search that assigns at most ``budget`` points.
+    Returns (maps, points assigned, whether the search finished).
 
-    Points are taken top-down. Point x may go to an unused y with the same
-    |up| and |down| whose relations to the points already assigned are the
-    images of x's: up(y) and down(y) meet the used images exactly in
-    f(up(x)) and f(down(x)) of the assigned points. So every complete
-    assignment is an automorphism. Candidates are tried in increasing
-    order, on an explicit stack like ``_extend``'s, so the maps come out
-    in the same order on every run. A search the budget stops returns the
-    maps it found, which are automorphisms all the same."""
+    An automorphism of a finite poset is a surjective p-morphism from P
+    onto itself, so this is ``_extend`` from P onto P, top-down, with x's
+    candidates cut to the points of the same |up| and |down|. Onto a
+    poset of |P| points the count check rejects a repeated image, so every
+    result is a bijection f with f(up(x)) = up(f(x)), hence an order
+    automorphism: y >= x iff f(y) is in f(up(x)) iff y is in up(x). The
+    key prune keeps the search small: without it R2@4's 8 maximal points
+    are tried in every order. A search the budget stops returns the maps
+    it found, which are automorphisms all the same."""
     n = len(P.points)
-    if n == 0:
-        return (), 0, True
-    order = _top_down(P)
     key = [(P.up[i].bit_count(), P.down[i].bit_count()) for i in range(n)]
     like = [[y for y in range(n) if key[y] == key[x]] for x in range(n)]
-    assign, maps, stack = [-1] * n, [], []
-    pos = done = used = nodes = 0
-    while True:
-        x = order[pos]
-        ups = downs = 0
-        for j in _bits(P.up[x] & done):
-            ups |= 1 << assign[j]
-        for j in _bits(P.down[x] & done):
-            downs |= 1 << assign[j]
-        candidates = iter(like[x])
-        while True:
-            for y in candidates:
-                if not used >> y & 1 and P.up[y] & used == ups and P.down[y] & used == downs:
-                    break
-            else:
-                if not stack:
-                    return tuple(maps), nodes, True
-                candidates, ups, downs = stack.pop()
-                pos -= 1
-                x = order[pos]
-                done ^= 1 << x
-                used ^= 1 << assign[x]
-                continue
-            if nodes == budget:
-                return tuple(maps), nodes, False
-            nodes += 1
-            assign[x] = y
-            if pos == n - 1:
-                if any(q != i for i, q in enumerate(assign)):
-                    maps.append(tuple(assign))
-                continue
-            stack.append((candidates, ups, downs))
-            done |= 1 << x
-            used |= 1 << y
-            pos += 1
-            break
+    left, identity = [budget], list(range(n))
+    found = _extend(P, P, _top_down(P), [-1] * n, 0, 0, like, left)
+    maps = tuple(tuple(f) for f in found if f != identity)
+    return maps, budget - max(left[0], 0), left[0] >= 0
 
 
 def enumerate_surjective_p_morphisms(P: FinitePoset, Q: FinitePoset) -> list[PMorphism]:

@@ -321,6 +321,21 @@ def test_jankov_error_codes(capsys, written):
     assert code == 0 and out.startswith("atoms:")
 
 
+def test_jankov_errors_on_unnamed_posets(capsys, tmp_path):
+    # a poset file need not name its poset; the message must not print None
+    for points, leq, words in (
+        ([], [], "has no root"),
+        (["a", "b"], [], "has no root"),
+        (["r", "a"], [["r", "a"]], "is not regularly generated"),
+    ):
+        path = tmp_path / "unnamed.json"
+        path.write_text(json.dumps({"points": points, "leq": leq}), encoding="utf-8")
+        code, out, err = invoke(capsys, "jankov", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "an unnamed poset" in err and words in err and "None" not in err
+
+
 def test_leq(capsys, written):
     code, out, _ = invoke(capsys, "leq", written["C2"], written["D4"])
     assert (code, out) == (0, "leq: yes\n")

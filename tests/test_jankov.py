@@ -15,7 +15,7 @@ from esakialab.jankov import (
     separating_formula,
 )
 from esakialab.logic import SweepGuardError, eval_algebra, format_formula, refutes
-from esakialab.poset_core import depth_width, make_delta0, make_medvedev
+from esakialab.poset_core import FinitePoset, depth_width, make_delta0, make_medvedev
 from esakialab.regularity import is_regular_bruteforce_morphism
 
 
@@ -253,3 +253,15 @@ def test_separating_formula_preconditions(p1, a2, c2, fork):
         separating_formula([p1], [fork])
     with pytest.raises(SweepGuardError):
         separating_formula([make_delta0(2)], [make_delta0(3)])
+
+
+def test_separating_formula_errors_name_unnamed_posets(fork):
+    unnamed_fork = FinitePoset(["r", "a", "b"], [("r", "a"), ("r", "b")])
+    for I, J, words in (
+        ([unnamed_fork], [FinitePoset(["a", "b"], [])], "an unnamed poset is not rooted"),
+        ([FinitePoset(["r", "a"], [("r", "a")])], [unnamed_fork], "an unnamed poset is not regular"),
+        ([FinitePoset(["x"], [])], [fork], "an unnamed poset and poset V are comparable"),
+    ):
+        with pytest.raises(ValueError) as info:
+            separating_formula(I, J)
+        assert str(info.value).startswith(words) and "None" not in str(info.value)

@@ -249,6 +249,19 @@ def test_automorphism_listing_work_is_pinned():
     assert maps and all(sorted(g) == list(range(12)) for g in maps)
     assert morphisms.list_automorphisms(make_medvedev(4), 327)[1:] == (327, False)
     assert morphisms.list_automorphisms(FinitePoset([]), 0) == ((), 0, True)
+    # the largest group and the widest set of maximal points the key prune handles
+    assert morphisms.list_automorphisms(make_delta1(6), 10**5)[1:] == (54019, True)
+    assert morphisms.list_automorphisms(make_ladder("R2", 6), 10**5)[1:] == (376, True)
+
+
+def test_automorphism_listing_budget_counts_down():
+    for P in (make_medvedev(3), make_delta1(3), make_ladder("R2", 4)):
+        full, total, finished = morphisms.list_automorphisms(P, 10**6)
+        assert finished
+        for b in range(total + 2):
+            maps, nodes, finished = morphisms.list_automorphisms(P, b)
+            assert (nodes, finished) == (min(b, total), b >= total), (P, b)
+            assert maps == full[: len(maps)], (P, b)
 
 
 def test_is_leq_is_the_search_module_function(c2):
