@@ -44,6 +44,7 @@ from .logic import (
     stage_nodes,
 )
 from .poset_core import FinitePoset
+from .poset_core.morphisms import _is_leq
 from .regularity import is_regular_structural, is_strongly_regular
 
 # Negative-valuation sweeps cost |B-core|^len(atoms); four atoms keeps the
@@ -223,7 +224,8 @@ def jankov_refutation_check(
     points.  The result is cross-checked against the order-theoretic route
     (an upset of Bpos mapping onto the source's dual); divergence would
     falsify the characteristic-formula theorem, so it is raised, not
-    returned.
+    returned.  The cross-check is ``is_leq``, budget and all; forced, it
+    reads no budget either.
     """
     budget = [math.inf if force else sweep_limit()]
     refuted = False
@@ -234,7 +236,7 @@ def jankov_refutation_check(
             charge("jankov_refutation_check", expr, sweep_limit() + 1, "nodes")
         if refuted:
             break
-    structural = is_leq(bundle.dual, Bpos)
+    structural = _is_leq(bundle.dual, Bpos, math.inf) if force else is_leq(bundle.dual, Bpos)
     if refuted != structural:
         raise RuntimeError(
             f"refutation sweep ({refuted}) disagrees with the divisibility "

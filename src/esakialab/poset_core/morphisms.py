@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from ..budget import charge, sweep_limit
 from .poset import FinitePoset, UnknownPointError, _bits, _renumbered, _top_down, collapse
 
 
@@ -101,17 +102,28 @@ def is_leq(Apos: FinitePoset, Bpos: FinitePoset) -> bool:
     the upsets generated by at most k points are tried, k the number of
     minimal points; for a rooted Apos, the principal upsets. An upset holds
     every point above its own, so it is searched on Bpos's rows, and each
-    node joins the images of its covers in Bpos (see ``_extend``)."""
+    node joins the images of its covers in Bpos (see ``_extend``).
+
+    The searches of all upsets share one countdown of ``sweep_limit()``
+    points assigned; past it the call raises ``SweepGuardError``."""
+    return _is_leq(Apos, Bpos, sweep_limit())
+
+
+def _is_leq(Apos: FinitePoset, Bpos: FinitePoset, limit: float) -> bool:
+    """``is_leq`` with the search capped at ``limit`` points assigned;
+    ``math.inf`` never reads the budget."""
     m = len(Apos.points)
     if m == 0:
         return False
     k = sum(row == 1 << i for i, row in enumerate(Apos.down))
-    order, assign = _top_down(Bpos), [-1] * len(Bpos.points)
+    order, assign, left = _top_down(Bpos), [-1] * len(Bpos.points), [limit]
     for u in _generated_upsets(Bpos, k):
         if u.bit_count() < m:
             continue
-        for _ in _extend(Bpos, Apos, [i for i in order if u >> i & 1], assign, 0, 0):
+        for _ in _extend(Bpos, Apos, [i for i in order if u >> i & 1], assign, 0, 0, None, left):
             return True
+        if left[0] < 0:  # stopped on the node past the budget
+            charge("is_leq", "search nodes", limit + 1, "nodes")
     return False
 
 
@@ -136,7 +148,7 @@ def _generated_upsets(P: FinitePoset, k: int) -> list[int]:
 
 def _extend(
     P: FinitePoset, Q: FinitePoset, order: list[int], assign: list[int], pos: int, image: int,
-    like: list[list[int]] | None = None, budget: list | None = None,
+    like: list[int] | None = None, budget: list | None = None,
 ) -> Iterator[list[int]]:
     """Yield ``assign`` once per surjective p-morphism onto Q from the upset
     ``order`` of P, which lists it top-down: the points above x have their
@@ -145,39 +157,43 @@ def _extend(
     the reverse one. A node joins its covers' images: each cover c of x
     passed that test, so up(f(c)) = f(up(c)), and strict up(x) is the union
     of the up(c), so f(strict up(x)) is the join of the up(f(c)), read in
-    O(covers) rather than O(|up(x)|). Points ``order[:pos]`` are already
-    assigned, with images ``image``.
+    O(covers) rather than O(|up(x)|). The q with up(q) = that join plus q
+    are ``Q.up_index``'s entry for it, so a node reads its few candidates
+    and tests none. Points ``order[:pos]`` are already assigned, with
+    images ``image``.
 
     Depth-first over an explicit stack, so a long chain costs no
     interpreter frames: moving on to the next position pushes the current
-    one's candidates still untried, f(strict up) and image before it, and
+    one's candidates still untried and the image before it, and
     running out of candidates pops back to the position before. Candidates
     are tried in increasing order, so assignments come out in
     lexicographic order of the images along ``order``.
 
-    ``like[x]``, when given, lists x's candidate images in increasing
-    order in place of all of Q. ``budget`` is a one-element list that loses
-    1 per point assigned; the search stops once it falls below 0, as
-    ``logic.refutes`` does."""
+    ``like[x]``, when given, is a mask that x's candidates must also lie
+    in. ``budget`` is a one-element list that loses 1 per point assigned;
+    the search stops once it falls below 0, as ``logic.refutes`` does."""
     n, m = len(order), len(Q.points)
     if pos == n:
         if image == Q.full_mask:
             yield assign
         return
-    Pcovers, Qup, everything = P.covers, Q.up, range(m)
+    Pcovers, Qup, candidates_of = P.covers, Q.up, Q.up_index.get
     stack = []
     while True:
-        above, rest = 0, Pcovers[order[pos]]
+        x = order[pos]
+        above, rest = 0, Pcovers[x]
         while rest:
             low = rest & -rest
             above |= Qup[assign[low.bit_length() - 1]]
             rest ^= low
-        candidates = iter(like[order[pos]] if like else everything)
+        candidates = candidates_of(above, ())
+        if like:
+            keep = like[x]
+            candidates = [q for q in candidates if keep >> q & 1]
+        candidates = iter(candidates)
         while True:
             left = n - pos - 1
             for q in candidates:
-                if Qup[q] != above | 1 << q:
-                    continue  # f(up(i)) = up(f(i)) fails, and no later choice can mend it
                 new_image = image | 1 << q
                 if m - new_image.bit_count() > left:
                     continue  # not enough points left to reach surjectivity
@@ -185,7 +201,7 @@ def _extend(
             else:
                 if not stack:
                     return
-                candidates, above, image = stack.pop()
+                candidates, image = stack.pop()
                 pos -= 1
                 continue
             if budget:
@@ -196,7 +212,7 @@ def _extend(
             if not left:
                 yield assign  # the count check left only the full image
                 continue
-            stack.append((candidates, above, image))
+            stack.append((candidates, image))
             pos, image = pos + 1, new_image
             break
 
@@ -210,16 +226,19 @@ def list_automorphisms(
 
     An automorphism of a finite poset is a surjective p-morphism from P
     onto itself, so this is ``_extend`` from P onto P, top-down, with x's
-    candidates cut to the points of the same |up| and |down|. Onto a
-    poset of |P| points the count check rejects a repeated image, so every
-    result is a bijection f with f(up(x)) = up(f(x)), hence an order
-    automorphism: y >= x iff f(y) is in f(up(x)) iff y is in up(x). The
-    key prune keeps the search small: without it R2@4's 8 maximal points
-    are tried in every order. A search the budget stops returns the maps
+    candidates cut by one mask per point to the points of the same |up|
+    and |down|. Onto a poset of |P| points the count check rejects a
+    repeated image, so every result is a bijection f with f(up(x)) =
+    up(f(x)), hence an order automorphism: y >= x iff f(y) is in f(up(x))
+    iff y is in up(x). The key prune keeps the search small: without it
+    R2@4's 8 maximal points are tried in every order. A search the budget stops returns the maps
     it found, which are automorphisms all the same."""
     n = len(P.points)
     key = [(P.up[i].bit_count(), P.down[i].bit_count()) for i in range(n)]
-    like = [[y for y in range(n) if key[y] == key[x]] for x in range(n)]
+    same: dict[tuple[int, int], int] = {}
+    for i, k in enumerate(key):
+        same[k] = same.get(k, 0) | 1 << i
+    like = [same[k] for k in key]
     left, identity = [budget], list(range(n))
     found = _extend(P, P, _top_down(P), [-1] * n, 0, 0, like, left)
     maps = tuple(tuple(f) for f in found if f != identity)

@@ -40,8 +40,10 @@ class FinitePoset:
     """
 
     # _algebra: a weak link to the upset algebra heyting.dual_algebra built last;
-    # _covers: the covers of each point, listed on first use
-    __slots__ = ("points", "up", "down", "name", "_index", "_maximal", "_algebra", "_covers")
+    # _covers and _up_index: see covers and up_index, each built on first use
+    __slots__ = (
+        "points", "up", "down", "name", "_index", "_maximal", "_algebra", "_covers", "_up_index"
+    )
 
     def __init__(
         self,
@@ -102,6 +104,7 @@ class FinitePoset:
         self._maximal = maximal
         self._algebra = None
         self._covers = None
+        self._up_index = None
         # finite posets always have a maximal point above every point
         assert all(up[i] & maximal for i in range(n))
 
@@ -169,18 +172,40 @@ class FinitePoset:
         once per poset: the minimal points of its strict up-set. Each point
         still left there drops its own strict up-set; a point already dropped
         lies above one taken before, so its strict up-set is gone and it is
-        skipped."""
+        skipped. The walk starts next to the point's own index, the points
+        above it lowest first and those below it highest first, so a chain
+        takes one step per point whichever end is listed first."""
         if self._covers is None:
             up, covers = self.up, []
             for i, row in enumerate(up):
-                out = rest = row ^ 1 << i
+                out = row ^ 1 << i
+                rest = out >> i << i
                 while rest:
                     low = rest & -rest
                     out &= ~(up[low.bit_length() - 1] ^ low)
                     rest = (rest ^ low) & out
+                rest = out & (1 << i) - 1
+                while rest:
+                    j = rest.bit_length() - 1
+                    out &= ~(up[j] ^ 1 << j)
+                    rest &= out & ~(1 << j)
                 covers.append(out)
             self._covers = tuple(covers)
         return self._covers
+
+    @property
+    def up_index(self) -> dict[int, tuple[int, ...]]:
+        """For a mask A, ``up_index[A]`` is the increasing tuple of the points q
+        with ``up[q] == A | 1 << q``: those whose up-set is A, and those whose
+        up-set is A with q itself added. Built once per poset in one pass, each
+        point under its up-row and its strict up-row. Read it, do not change it."""
+        if self._up_index is None:
+            index: dict[int, list[int]] = {}
+            for q, row in enumerate(self.up):
+                index.setdefault(row, []).append(q)
+                index.setdefault(row ^ 1 << q, []).append(q)
+            self._up_index = {key: tuple(points) for key, points in index.items()}
+        return self._up_index
 
     def covers_mask(self, i: int) -> int:
         """Immediate successors of point i: minimal elements of its strict up-set."""

@@ -8,6 +8,7 @@ from esakialab.heyting import (
     close_under,
     dual_algebra,
     generated_subalgebra,
+    is_leq,
     principal_upset_views,
 )
 from esakialab.jankov import jankov_dna_formula, jankov_refutation_check
@@ -61,6 +62,8 @@ CASES = [
     # W3's root: 4 points x 2^3 hulls
     ("principal_upset_views", 31, lambda fx: lambda: list(principal_upset_views(fx("w3")))),
     ("upsets", 100, lambda fx: _antichain5().upsets),
+    # the fork maps onto C2 at its third node, one past this budget
+    ("is_leq", 2, lambda fx: lambda: is_leq(fx("c2"), fx("fork"))),
 ]
 
 

@@ -18,6 +18,7 @@ from esakialab.heyting import dual_algebra
 from esakialab.poset_core import (
     FinitePoset,
     make_delta0,
+    make_delta1,
     make_ladder,
     make_medvedev,
     strong_regularization,
@@ -364,6 +365,22 @@ def test_leq_of_the_fork_in_a_long_chain(capsys, written, tmp_path):
     # cost per search node must not grow with the points above it
     chain = write_chain(tmp_path, 400)
     assert invoke(capsys, "leq", written["V"], chain) == (0, "leq: no\n", "")
+
+
+def test_leq_refuses_a_search_past_the_budget(capsys, tmp_path, monkeypatch):
+    # G6 <= G8 is false, and its plain search runs past ten million nodes
+    paths = []
+    for n in (6, 8):
+        path = tmp_path / f"g{n}.json"
+        path.write_text(make_delta1(n).to_json(), encoding="utf-8")
+        paths.append(str(path))
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "100000")
+    code, out, err = invoke(capsys, "leq", *paths)
+    assert code == 2 and one_error_line(out, err)
+    assert err == (
+        "error: is_leq: search nodes = 100001 nodes, more than the budget of 100000 "
+        "(ESAKIA_MAX_SWEEP)\n"
+    )
 
 
 def test_antichain_on_chains_past_the_recursion_limit(capsys, tmp_path):

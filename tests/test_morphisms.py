@@ -2,6 +2,7 @@ import pytest
 import reference
 
 from esakialab import cli, heyting, jankov
+from esakialab.budget import SweepGuardError
 from esakialab.heyting import is_leq
 from esakialab.jankov import antichain_verify
 from esakialab.poset_core import (
@@ -101,6 +102,7 @@ def test_is_leq_matches_brute_force(corpus_levels):
 def test_is_leq_matches_all_upsets_sweep(corpus5):
     named = [make_medvedev(n) for n in (2, 3, 4)]
     named += [make_delta0(n) for n in (1, 2, 3)] + [make_delta1(n) for n in (3, 4, 5)]
+    named += [make_ladder(kind, n) for kind in ("R0", "R1", "R2") for n in (3, 4)]
     # sources with one to five minimal points, so rooted and non-rooted ones
     assert len(corpus5) == 87
     for family in (corpus5, named):
@@ -139,9 +141,9 @@ def search_nodes(monkeypatch):
     nodes = [0]
     real = morphisms._extend
 
-    def counting(P, Q, order, assign, pos, image):
+    def counting(P, Q, order, assign, pos, image, *rest):
         nodes[0] += 1
-        return real(P, Q, order, _CountingAssign(assign, nodes), pos, image)
+        return real(P, Q, order, _CountingAssign(assign, nodes), pos, image, *rest)
 
     monkeypatch.setattr(morphisms, "_extend", counting)
     return nodes
@@ -149,13 +151,15 @@ def search_nodes(monkeypatch):
 
 @pytest.fixture
 def reference_nodes(monkeypatch):
-    # the recursive reference search in its place, one call per node
+    # the recursive reference search in its place, one call per node; it
+    # has no countdown, so is_leq's budget is dropped
     calls = [0]
     real = reference.extend
 
-    def counting(*args):
+    def counting(P, Q, order, assign, pos, image, like=None, budget=None):
+        assert like is None
         calls[0] += 1
-        return real(*args)
+        return real(P, Q, order, assign, pos, image)
 
     monkeypatch.setattr(reference, "extend", counting)
     monkeypatch.setattr(morphisms, "_extend", counting)
@@ -268,6 +272,36 @@ def test_is_leq_is_the_search_module_function(c2):
     assert heyting.is_leq is jankov.is_leq is cli.is_leq is morphisms.is_leq
     empty = FinitePoset([])
     assert not is_leq(empty, c2) and not is_leq(empty, empty)
+
+
+def test_chain_collapses_onto_a_shorter_chain(c3, c2):
+    # below z's image m, y's candidates are r (new) and m, onto which y
+    # collapses: up(m) is f(strict up(y)) with nothing added
+    maps = [f.mapping for f in iter_surjective_p_morphisms(c3, c2)]
+    assert maps == [(0, 0, 1), (0, 1, 1)]
+
+
+def test_is_leq_charges_one_countdown_over_all_upsets(monkeypatch):
+    # G3 <= F3 is false, so every principal upset of F3 is searched out
+    A, B = make_delta1(3), make_delta0(3)
+    writes = []
+    real = morphisms._extend
+
+    def counting(P, Q, order, assign, *rest):
+        writes.append([0])
+        return real(P, Q, order, _CountingAssign(assign, writes[-1]), *rest)
+
+    monkeypatch.setattr(morphisms, "_extend", counting)
+    assert not is_leq(A, B)
+    total = sum(count for count, in writes)
+    # four upsets assign points: a countdown per upset would not refuse
+    assert total == 224 and max(count for count, in writes) == 104
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", str(total))
+    assert not is_leq(A, B)
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", str(total - 1))
+    message = f"is_leq: search nodes = {total} nodes, more than the budget of {total - 1} "
+    with pytest.raises(SweepGuardError, match="^" + message):
+        is_leq(A, B)
 
 
 def test_iterator_agrees_with_list(fork, c2):

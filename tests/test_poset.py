@@ -100,6 +100,29 @@ def test_covers_mask(diamond):
     assert got == want
 
 
+class _CountingRows(tuple):
+    """Up-rows that count the rows read by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_covers_of_a_chain_read_one_row_per_point():
+    # listed top first, the lowest point of a strict up-set is the farthest
+    # one, and taking it first read every point above
+    points = [f"c{i}" for i in range(300)]
+    top_first = FinitePoset(points, zip(points[1:], points))
+    bottom_first = FinitePoset(points, zip(points, points[1:]))
+    for chain, step in ((top_first, -1), (bottom_first, 1)):
+        chain.up = _CountingRows(chain.up)
+        covers = chain.covers
+        assert chain.up.reads == 299
+        assert covers == tuple(1 << i + step if 0 <= i + step < 300 else 0 for i in range(300))
+
+
 def test_immediate_successors(diamond):
     a, b = diamond.index("a"), diamond.index("b")
     assert immediate_successors(diamond, "o") == 1 << a | 1 << b

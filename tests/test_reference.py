@@ -371,15 +371,29 @@ def test_upsets_come_in_canonical_order(corpus7):
     assert len(corpus7) == 2450
 
 
-def test_kept_covers_match_the_minimal_points_above(corpus7, p1, c2, c3, a2, fork, w3, diamond, n6):
+def _named_frames(*fixtures):
     named = [make_medvedev(n) for n in (2, 3, 4)] + [make_delta0(n) for n in (1, 2, 3)]
     named += [make_delta1(n) for n in (3, 4, 5, 6)]
     named += [make_ladder(k, n) for k in ("R0", "R1", "R2") for n in (3, 4, 5)]
-    named += [p1, c2, c3, a2, fork, w3, diamond, n6]
-    # a chain listed top first: each point's strict up-set is every earlier point
-    chain = FinitePoset([f"c{i}" for i in range(60)], [(f"c{i + 1}", f"c{i}") for i in range(59)])
-    for P in corpus7 + named + [chain]:
+    return named + list(fixtures)
+
+
+def test_kept_covers_match_the_minimal_points_above(corpus7, p1, c2, c3, a2, fork, w3, diamond, n6):
+    # a chain listed top first (each point's strict up-set is every earlier
+    # point) and one listed bottom first
+    points = [f"c{i}" for i in range(60)]
+    chains = [FinitePoset(points, zip(points[1:], points)), FinitePoset(points, zip(points, points[1:]))]
+    for P in corpus7 + _named_frames(p1, c2, c3, a2, fork, w3, diamond, n6) + chains:
         assert list(P.covers) == reference.covers(P), P
+    assert len(corpus7) == 2450
+
+
+def test_up_index_lists_the_points_of_each_up_row(corpus7, p1, c2, c3, a2, fork, w3, diamond, n6):
+    for P in corpus7 + _named_frames(p1, c2, c3, a2, fork, w3, diamond, n6):
+        n = len(P)
+        assert set(P.up_index) == set(P.up) | {P.strict_up(q) for q in range(n)}, P
+        for A, points in P.up_index.items():
+            assert points == tuple(q for q in range(n) if P.up[q] == A | 1 << q), (P, A)
     assert len(corpus7) == 2450
 
 
