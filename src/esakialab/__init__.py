@@ -22,7 +22,6 @@ from .poset_core import (
     downset_closure,
     enumerate_reductions,
     enumerate_surjective_p_morphisms,
-    immediate_successors,
     iter_surjective_p_morphisms,
     make_delta0,
     make_delta1,

@@ -12,12 +12,12 @@ import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .budget import charge, sweep_limit
 from .logic import Symmetry, is_dna_valid, is_valid, ml_proxy_formulas
 from .poset_core import FinitePoset, is_leq, list_automorphisms  # is_leq: re-exported
-from .poset_core.poset import _bits, _renumbered
+from .poset_core.poset import _bits
 
 # imp reads downsets a byte of the mask at a time
 _TABLE_BITS = 8
@@ -56,7 +56,7 @@ class FiniteHeytingAlgebra:
         self.elements: tuple[int, ...] = tuple(base.upsets())
         self.top: int = base.full_mask
         self._index = {u: i for i, u in enumerate(self.elements)}
-        self._down_tables = _down_tables(base)
+        self._down_tables = _byte_tables(base.down)
         self._components: tuple[FiniteHeytingAlgebra, ...] | None = None
         self._regulars: tuple[int, ...] | None = None
         self._regular_closure: tuple[tuple[int, ...], ...] | None = None
@@ -154,7 +154,8 @@ class FiniteHeytingAlgebra:
         kept = maps[: budget // len(domain)]
         place = {u: i for i, u in enumerate(domain)}
         perms = dict.fromkeys(
-            tuple(place[v] for v in _renumbered(domain, [1 << q for q in m])) for m in kept
+            tuple(place[_through(tables, v)] for v in domain)
+            for tables in (_byte_tables([1 << q for q in m]) for m in kept)
         )
         perms.pop(tuple(range(len(domain))), None)
         symmetry = Symmetry(domain, list(perms)) if perms else None
@@ -192,16 +193,25 @@ class FiniteHeytingAlgebra:
         )
 
 
-def _down_tables(P: FinitePoset) -> tuple[list[int], ...]:
-    """Table k maps bits 8k..8k+7 of a mask to the downset of those points."""
+def _byte_tables(rows: Sequence[int]) -> tuple[list[int], ...]:
+    """Table k maps bits 8k..8k+7 of a mask to the join of those points' rows."""
     tables = []
-    for lo in range(0, len(P), _TABLE_BITS):
+    for lo in range(0, len(rows), _TABLE_BITS):
         table = [0]
-        # entry b | 1 << j is entry b joined with the downset of point lo + j
-        for down in P.down[lo : lo + _TABLE_BITS]:
-            table += [t | down for t in table]
+        # entry b | 1 << j is entry b joined with the row of point lo + j
+        for row in rows[lo : lo + _TABLE_BITS]:
+            table += [t | row for t in table]
         tables.append(table)
     return tuple(tables)
+
+
+def _through(tables: tuple[list[int], ...], mask: int) -> int:
+    """The join of the rows of the points of mask, a byte at a time."""
+    out = 0
+    for table in tables:
+        out |= table[mask & _TABLE_MASK]
+        mask >>= _TABLE_BITS
+    return out
 
 
 class UpsetView:
@@ -247,7 +257,7 @@ def principal_upset_views(P: FinitePoset, force: bool = False) -> Iterator[Upset
     is set.
     """
     n, limit = len(P), math.inf if force else sweep_limit()
-    tables, hulls = _down_tables(P), {}
+    tables, hulls = _byte_tables(P.down), {}
     for top in dict.fromkeys(P.up):
         maxima = top & P.maximal_mask
         k = maxima.bit_count()

@@ -7,7 +7,6 @@ from .poset import (
     UnknownPointError,
     depth_width,
     downset_closure,
-    immediate_successors,
     maximal_of,
     point_depths,
     upset_closure,
@@ -37,7 +36,6 @@ __all__ = [
     "upset_closure",
     "downset_closure",
     "maximal_of",
-    "immediate_successors",
     "point_depths",
     "depth_width",
     "validate_p_morphism",

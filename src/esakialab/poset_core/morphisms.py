@@ -1,6 +1,7 @@
 """P-morphisms between finite posets: validation, search, reductions."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -85,12 +86,19 @@ def validate_p_morphism(f: PMorphism) -> bool:
 
 
 def iter_surjective_p_morphisms(P: FinitePoset, Q: FinitePoset) -> Iterator[PMorphism]:
-    """Backtracking search for surjective p-morphisms P onto Q."""
+    """Backtracking search for surjective p-morphisms P onto Q.
+
+    The search counts down ``sweep_limit()`` points assigned, read once per
+    call; past it the iterator raises ``SweepGuardError``."""
     n, m = len(P.points), len(Q.points)
     if n < m or m == 0:
         return
-    for assign in _extend(P, Q, _top_down(P), [-1] * n, 0, 0):
+    limit = sweep_limit()
+    left = [limit]
+    for assign in _extend(P, Q, _top_down(P), [-1] * n, 0, 0, None, left):
         yield PMorphism(P, Q, tuple(assign))
+    if left[0] < 0:  # stopped on the node past the budget
+        charge("iter_surjective_p_morphisms", "search nodes", limit + 1, "nodes")
 
 
 def is_leq(Apos: FinitePoset, Bpos: FinitePoset) -> bool:
@@ -171,28 +179,31 @@ def _extend(
 
     ``like[x]``, when given, is a mask that x's candidates must also lie
     in. ``budget`` is a one-element list that loses 1 per point assigned;
-    the search stops once it falls below 0, as ``logic.refutes`` does."""
+    the search stops once it falls below 0, as ``logic.refutes`` does, so
+    a search the budget stops leaves it at -1. The count runs in a local
+    int, written back to ``budget[0]`` before each yield and return and
+    read again after each yield."""
     n, m = len(order), len(Q.points)
     if pos == n:
         if image == Q.full_mask:
             yield assign
         return
+    if budget is None:
+        budget = [math.inf]
     Pcovers, Qup, candidates_of = P.covers, Q.up, Q.up_index.get
-    stack = []
+    count, stack = budget[0], []
     while True:
         x = order[pos]
-        above, rest = 0, Pcovers[x]
-        while rest:
-            low = rest & -rest
-            above |= Qup[assign[low.bit_length() - 1]]
-            rest ^= low
+        above = 0
+        for c in Pcovers[x]:
+            above |= Qup[assign[c]]
         candidates = candidates_of(above, ())
         if like:
             keep = like[x]
             candidates = [q for q in candidates if keep >> q & 1]
         candidates = iter(candidates)
+        left = n - pos - 1
         while True:
-            left = n - pos - 1
             for q in candidates:
                 new_image = image | 1 << q
                 if m - new_image.bit_count() > left:
@@ -200,17 +211,20 @@ def _extend(
                 break
             else:
                 if not stack:
+                    budget[0] = count
                     return
                 candidates, image = stack.pop()
-                pos -= 1
+                pos, left = pos - 1, left + 1
                 continue
-            if budget:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    return
+            count -= 1
+            if count < 0:
+                budget[0] = count
+                return
             assign[order[pos]] = q
             if not left:
+                budget[0] = count
                 yield assign  # the count check left only the full image
+                count = budget[0]
                 continue
             stack.append((candidates, image))
             pos, image = pos + 1, new_image

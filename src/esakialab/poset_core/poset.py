@@ -167,14 +167,15 @@ class FinitePoset:
         return out
 
     @property
-    def covers(self) -> tuple[int, ...]:
-        """The covers of each point as a mask (the transitive reduction), listed
-        once per poset: the minimal points of its strict up-set. Each point
-        still left there drops its own strict up-set; a point already dropped
-        lies above one taken before, so its strict up-set is gone and it is
-        skipped. The walk starts next to the point's own index, the points
-        above it lowest first and those below it highest first, so a chain
-        takes one step per point whichever end is listed first."""
+    def covers(self) -> tuple[tuple[int, ...], ...]:
+        """The covers of each point as the increasing tuple of their indices
+        (the transitive reduction), listed once per poset: the minimal points
+        of its strict up-set. Each point still left there drops its own strict
+        up-set; a point already dropped lies above one taken before, so its
+        strict up-set is gone and it is skipped. The walk starts next to the
+        point's own index, the points above it lowest first and those below
+        it highest first, so a chain takes one step per point whichever end
+        is listed first."""
         if self._covers is None:
             up, covers = self.up, []
             for i, row in enumerate(up):
@@ -189,7 +190,7 @@ class FinitePoset:
                     j = rest.bit_length() - 1
                     out &= ~(up[j] ^ 1 << j)
                     rest &= out & ~(1 << j)
-                covers.append(out)
+                covers.append(tuple(_bits(out)))
             self._covers = tuple(covers)
         return self._covers
 
@@ -206,10 +207,6 @@ class FinitePoset:
                 index.setdefault(row ^ 1 << q, []).append(q)
             self._up_index = {key: tuple(points) for key, points in index.items()}
         return self._up_index
-
-    def covers_mask(self, i: int) -> int:
-        """Immediate successors of point i: minimal elements of its strict up-set."""
-        return self.covers[i]
 
     def up_mask_of(self, mask: int) -> int:
         out = 0
@@ -283,7 +280,7 @@ class FinitePoset:
     def cover_pairs(self) -> list[tuple[str, str]]:
         out = []
         for i, covers in enumerate(self.covers):
-            for j in _bits(covers):
+            for j in covers:
                 out.append((self.points[i], self.points[j]))
         return out
 
@@ -383,11 +380,6 @@ def maximal_of(P: FinitePoset, mask: int) -> int:
     return out
 
 
-def immediate_successors(P: FinitePoset, x: str) -> int:
-    """The covers of x as a mask; empty iff x is maximal."""
-    return P.covers_mask(P.index(x))
-
-
 def _top_down(P: FinitePoset) -> list[int]:
     """Points by up-set size: each comes after every point above it."""
     return sorted(range(len(P.points)), key=lambda i: (P.up[i].bit_count(), i))
@@ -400,7 +392,7 @@ def point_depths(P: FinitePoset) -> dict[str, int]:
     covers = P.covers
     for i in _top_down(P):
         if covers[i]:
-            depth[i] = 1 + max(depth[j] for j in _bits(covers[i]))
+            depth[i] = 1 + max(depth[j] for j in covers[i])
     return {P.points[i]: depth[i] for i in range(n)}
 
 

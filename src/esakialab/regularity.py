@@ -150,7 +150,7 @@ def is_regular_structural(P: FinitePoset) -> bool:
     for covers in P.covers:
         if not covers:
             continue  # a maximal point
-        if covers.bit_count() < 2 or covers in seen:
+        if len(covers) < 2 or covers in seen:
             return False
         seen.add(covers)
     return True

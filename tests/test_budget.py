@@ -13,7 +13,7 @@ from esakialab.heyting import (
 )
 from esakialab.jankov import jankov_dna_formula, jankov_refutation_check
 from esakialab.logic import is_dna_valid, is_valid, parse
-from esakialab.poset_core import FinitePoset
+from esakialab.poset_core import FinitePoset, iter_surjective_p_morphisms
 from esakialab.regularity import rank_table
 
 # the one message of every ESAKIA_MAX_SWEEP refusal
@@ -64,6 +64,9 @@ CASES = [
     ("upsets", 100, lambda fx: _antichain5().upsets),
     # the fork maps onto C2 at its third node, one past this budget
     ("is_leq", 2, lambda fx: lambda: is_leq(fx("c2"), fx("fork"))),
+    # C3 maps onto C2 twice in five nodes, one past this budget
+    ("iter_surjective_p_morphisms", 4,
+     lambda fx: lambda: list(iter_surjective_p_morphisms(fx("c3"), fx("c2")))),
 ]
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 import reference
 
@@ -302,6 +304,53 @@ def test_is_leq_charges_one_countdown_over_all_upsets(monkeypatch):
     message = f"is_leq: search nodes = {total} nodes, more than the budget of {total - 1} "
     with pytest.raises(SweepGuardError, match="^" + message):
         is_leq(A, B)
+
+
+def test_countdown_leaves_minus_one_or_what_is_unspent(monkeypatch):
+    # G3 <= F3 searches out 224 nodes over F3's principal upsets; G3 onto
+    # itself stops at its first surjection
+    G3, F3 = make_delta1(3), make_delta0(3)
+    runs = []
+    for A, B in ((G3, F3), (G3, G3)):
+        order = morphisms._top_down(B)
+        for u in morphisms._generated_upsets(B, 1):
+            if u.bit_count() >= len(A):
+                runs.append((B, A, [i for i in order if u >> i & 1]))
+
+    def first(run, b):
+        # the nodes a run visits up to its first yield or its end, and what it found
+        nodes, budget = [0], [b]
+        assign = _CountingAssign([-1] * len(run[0]), nodes)
+        search = morphisms._extend(*run, assign, 0, 0, None, budget)
+        found = next(search, None)
+        found = found and tuple(found)
+        search.close()
+        return nodes[0], budget[0], found
+
+    whole = [first(run, math.inf) for run in runs]
+    assert sum(nodes for nodes, _, found in whole if found is None) == 224
+    assert any(found for _, _, found in whole)
+    for b in range(226):
+        monkeypatch.setenv("ESAKIA_MAX_SWEEP", str(b))
+        if b >= 224:
+            assert not is_leq(G3, F3)
+        else:
+            with pytest.raises(SweepGuardError, match=f"^is_leq: search nodes = {b + 1} nodes, "):
+                is_leq(G3, F3)
+        for run, (need, _, want) in zip(runs, whole):
+            if b >= need:
+                assert first(run, b) == (need, b - need, want), b
+            else:
+                assert first(run, b) == (b, -1, None), b
+
+
+def test_countdown_is_read_again_after_each_yield(c3, c2):
+    # C3 maps onto C2 twice in five nodes; the first yield comes at the third
+    budget = [10]
+    search = morphisms._extend(c3, c2, morphisms._top_down(c3), [-1] * 3, 0, 0, None, budget)
+    assert tuple(next(search)) == (0, 0, 1) and budget == [7]
+    budget[0] = 0
+    assert next(search, None) is None and budget == [-1]
 
 
 def test_iterator_agrees_with_list(fork, c2):
