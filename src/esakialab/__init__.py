@@ -21,7 +21,6 @@ from .poset_core import (
     depth_width,
     downset_closure,
     enumerate_reductions,
-    enumerate_surjective_p_morphisms,
     iter_surjective_p_morphisms,
     make_delta0,
     make_delta1,

@@ -20,9 +20,11 @@ def _parse_limit(raw: str) -> int:
         raise SweepGuardError(f"ESAKIA_MAX_SWEEP must be an integer, got {raw!r}") from None
 
 
-def charge(layer: str, expr: str, cost: int, unit: str) -> None:
-    """Refuse ``cost`` units of work (``expr``) past the budget; forced calls skip it."""
-    limit = sweep_limit()
+def charge(layer: str, expr: str, cost: int, unit: str, limit: float | None = None) -> None:
+    """Refuse ``cost`` units of work (``expr``) past the budget, or past ``limit``
+    where a caller caps itself lower; forced calls skip it."""
+    if limit is None:
+        limit = sweep_limit()
     if cost > limit:
         raise SweepGuardError(
             f"{layer}: {expr} = {cost} {unit}, more than the budget of {limit} (ESAKIA_MAX_SWEEP)"

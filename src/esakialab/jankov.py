@@ -35,6 +35,7 @@ from .logic import (
     Iff,
     Implies,
     Or,
+    Symmetry,
     Top,
     atoms,
     big_and,
@@ -43,8 +44,8 @@ from .logic import (
     refutes,
     stage_nodes,
 )
-from .poset_core import FinitePoset
-from .poset_core.morphisms import _is_leq
+from .poset_core import FinitePoset, list_automorphisms
+from .poset_core.morphisms import _is_leq, _leq_search
 from .regularity import is_regular_structural, is_strongly_regular
 
 # Negative-valuation sweeps cost |B-core|^len(atoms); four atoms keeps the
@@ -260,12 +261,35 @@ class AntichainReport:
 
 
 def antichain_verify(posets: list[FinitePoset]) -> AntichainReport:
-    """Check pairwise incomparability in both directions, with regularity flags."""
+    """Check pairwise incomparability in both directions, with regularity flags.
+
+    Each ordered pair asks ``is_leq(A, B)``, each under its own countdown
+    of ``sweep_limit()`` points assigned. The searches onto a member A run
+    plain, capped at |A|^3 points (or the countdown, if smaller), until one
+    runs out of that cap. Then A's automorphisms are listed, once, under
+    the same cap, and that pair and every later pair onto A search one
+    candidate per orbit (``_extend``'s ``symmetry``), a cut listing used as
+    it is. So members whose searches are short list nothing, however large
+    their groups."""
     family = tuple(posets)
+    limit = sweep_limit()
+    groups: dict[int, Symmetry] = {}
     pairs = []
-    for i, P in enumerate(family):
-        for j, Q in enumerate(family):
-            if i != j and is_leq(P, Q):
+    for i, A in enumerate(family):
+        cap = min(len(A) ** 3, limit)
+        for j, B in enumerate(family):
+            if i == j:
+                continue
+            if i in groups:
+                found = _leq_search(A, B, limit, groups[i])
+            else:
+                found = _leq_search(A, B, cap)
+                if found is None and cap < limit:
+                    groups[i] = Symmetry(range(len(A)), list_automorphisms(A, cap)[0])
+                    found = _leq_search(A, B, limit, groups[i])
+            if found is None:
+                charge("is_leq", "search nodes", limit + 1, "nodes")
+            if found:
                 pairs.append((i, j))
     return AntichainReport(
         posets=family,

@@ -16,7 +16,6 @@ from .morphisms import (
     ReductionError,
     apply_reduction,
     enumerate_reductions,
-    enumerate_surjective_p_morphisms,
     is_leq,
     iter_surjective_p_morphisms,
     list_automorphisms,
@@ -40,7 +39,6 @@ __all__ = [
     "depth_width",
     "validate_p_morphism",
     "p_morphism_violation",
-    "enumerate_surjective_p_morphisms",
     "iter_surjective_p_morphisms",
     "is_leq",
     "list_automorphisms",

@@ -119,19 +119,32 @@ def is_leq(Apos: FinitePoset, Bpos: FinitePoset) -> bool:
 
 def _is_leq(Apos: FinitePoset, Bpos: FinitePoset, limit: float) -> bool:
     """``is_leq`` with the search capped at ``limit`` points assigned;
-    ``math.inf`` never reads the budget."""
+    ``math.inf`` never reads the budget. A spent countdown refuses, whatever
+    the cap."""
+    found = _leq_search(Apos, Bpos, limit)
+    if found is None:
+        charge("is_leq", "search nodes", limit + 1, "nodes", limit)
+    return found
+
+
+def _leq_search(Apos: FinitePoset, Bpos: FinitePoset, limit: float, symmetry=None) -> bool | None:
+    """``is_leq``'s search over one countdown of ``limit`` points assigned:
+    its verdict, or None once the countdown is spent. ``symmetry``, a
+    ``logic.Symmetry`` of automorphisms of Apos over its point indices,
+    prunes each upset's search to one candidate per orbit (see ``_extend``)."""
     m = len(Apos.points)
-    if m == 0:
-        return False
+    if m == 0 or m > len(Bpos.points):
+        return False  # no upset of Bpos is large enough
     k = sum(row == 1 << i for i, row in enumerate(Apos.down))
     order, assign, left = _top_down(Bpos), [-1] * len(Bpos.points), [limit]
     for u in _generated_upsets(Bpos, k):
         if u.bit_count() < m:
             continue
-        for _ in _extend(Bpos, Apos, [i for i in order if u >> i & 1], assign, 0, 0, None, left):
+        run = [i for i in order if u >> i & 1]
+        for _ in _extend(Bpos, Apos, run, assign, 0, 0, None, left, symmetry):
             return True
         if left[0] < 0:  # stopped on the node past the budget
-            charge("is_leq", "search nodes", limit + 1, "nodes")
+            return None
     return False
 
 
@@ -156,7 +169,7 @@ def _generated_upsets(P: FinitePoset, k: int) -> list[int]:
 
 def _extend(
     P: FinitePoset, Q: FinitePoset, order: list[int], assign: list[int], pos: int, image: int,
-    like: list[int] | None = None, budget: list | None = None,
+    like: list[int] | None = None, budget: list | None = None, symmetry=None,
 ) -> Iterator[list[int]]:
     """Yield ``assign`` once per surjective p-morphism onto Q from the upset
     ``order`` of P, which lists it top-down: the points above x have their
@@ -172,7 +185,7 @@ def _extend(
 
     Depth-first over an explicit stack, so a long chain costs no
     interpreter frames: moving on to the next position pushes the current
-    one's candidates still untried and the image before it, and
+    one's candidates still untried, the image before it and its ``stab``, and
     running out of candidates pops back to the position before. Candidates
     are tried in increasing order, so assignments come out in
     lexicographic order of the images along ``order``.
@@ -182,7 +195,19 @@ def _extend(
     the search stops once it falls below 0, as ``logic.refutes`` does, so
     a search the budget stops leaves it at -1. The count runs in a local
     int, written back to ``budget[0]`` before each yield and return and
-    read again after each yield."""
+    read again after each yield.
+
+    ``symmetry``, when given to a search from ``pos`` 0, is a
+    ``logic.Symmetry`` of automorphisms of Q over its point indices, and
+    the search then only decides whether a surjection exists. Each stack
+    entry keeps its position's ``stab``, the listed maps that fix every
+    image so far, and a node drops a candidate q that one of them sends
+    lower. Such a map a fixes the join of the
+    covers' images, so a(q) is a candidate too, and f followed by a is a
+    surjective p-morphism that agrees with f before x and comes earlier in
+    the order. So the plain search's first surjection is never dropped,
+    whatever maps are listed; later ones may be, so listing passes none.
+    Where ``stab`` is 0 a node filters nothing."""
     n, m = len(order), len(Q.points)
     if pos == n:
         if image == Q.full_mask:
@@ -192,6 +217,9 @@ def _extend(
         budget = [math.inf]
     Pcovers, Qup, candidates_of = P.covers, Q.up, Q.up_index.get
     count, stack = budget[0], []
+    stab = symmetry.every if symmetry else 0
+    if stab:
+        lowers, fixes = symmetry.lowers, symmetry.fixes
     while True:
         x = order[pos]
         above = 0
@@ -201,6 +229,8 @@ def _extend(
         if like:
             keep = like[x]
             candidates = [q for q in candidates if keep >> q & 1]
+        if stab:
+            candidates = [q for q in candidates if not stab & lowers[q]]
         candidates = iter(candidates)
         left = n - pos - 1
         while True:
@@ -213,7 +243,7 @@ def _extend(
                 if not stack:
                     budget[0] = count
                     return
-                candidates, image = stack.pop()
+                candidates, image, stab = stack.pop()
                 pos, left = pos - 1, left + 1
                 continue
             count -= 1
@@ -226,8 +256,10 @@ def _extend(
                 yield assign  # the count check left only the full image
                 count = budget[0]
                 continue
-            stack.append((candidates, image))
+            stack.append((candidates, image, stab))
             pos, image = pos + 1, new_image
+            if stab:
+                stab &= fixes[q]
             break
 
 
@@ -257,11 +289,6 @@ def list_automorphisms(
     found = _extend(P, P, _top_down(P), [-1] * n, 0, 0, like, left)
     maps = tuple(tuple(f) for f in found if f != identity)
     return maps, budget - max(left[0], 0), left[0] >= 0
-
-
-def enumerate_surjective_p_morphisms(P: FinitePoset, Q: FinitePoset) -> list[PMorphism]:
-    """All surjective p-morphisms P onto Q, sorted by their mapping tuple."""
-    return sorted(iter_surjective_p_morphisms(P, Q), key=lambda f: f.mapping)
 
 
 def _alpha_condition(P: FinitePoset, xi: int, yi: int) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 import reference
-from esakialab.poset_core import FinitePoset
+from esakialab.poset_core import FinitePoset, make_delta0, make_delta1, make_ladder, make_medvedev
 
 # unlabeled posets on 1..7 points
 CLASS_COUNTS = (1, 2, 5, 16, 63, 318, 2045)
@@ -116,3 +116,11 @@ def posets_by_size(max_size: int) -> list[list[FinitePoset]]:
 
 def posets_up_to(max_size: int) -> list[FinitePoset]:
     return [P for level in posets_by_size(max_size) for P in level]
+
+
+def named_frames() -> list[FinitePoset]:
+    """M2-M4, F1-F3, G3-G5 and R0, R1 and R2 at 3 and 4 levels."""
+    named = [make_medvedev(n) for n in (2, 3, 4)]
+    named += [make_delta0(n) for n in (1, 2, 3)] + [make_delta1(n) for n in (3, 4, 5)]
+    named += [make_ladder(kind, n) for kind in ("R0", "R1", "R2") for n in (3, 4)]
+    return named

@@ -403,6 +403,20 @@ def test_antichain(capsys, written):
     assert invoke(capsys, "antichain", written["C2"])[0] == 2
 
 
+def test_antichain_of_the_g_tower_to_g7(capsys, tmp_path):
+    # one candidate per orbit once a member's searches prove long: G3-G7
+    # took about 6 s searched plainly
+    paths = []
+    for n in range(3, 8):
+        path = tmp_path / f"g{n}.json"
+        path.write_text(make_delta1(n).to_json(), encoding="utf-8")
+        paths.append(str(path))
+    code, out, err = invoke(capsys, "antichain", *paths)
+    assert (code, err) == (0, "")
+    assert "comparable pairs: none" in out
+    assert out.endswith("antichain: yes\n")
+
+
 def test_antichain_json(capsys, written):
     code, out, _ = invoke(
         capsys, "antichain", written["C2"], written["D4"], "--json"

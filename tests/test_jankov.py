@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -15,8 +16,16 @@ from esakialab.jankov import (
     separating_formula,
 )
 from esakialab.logic import SweepGuardError, eval_algebra, format_formula, refutes
-from esakialab.poset_core import FinitePoset, depth_width, make_delta0, make_medvedev
+from esakialab.poset_core import (
+    FinitePoset,
+    depth_width,
+    make_delta0,
+    make_delta1,
+    make_medvedev,
+)
 from esakialab.regularity import is_regular_bruteforce_morphism
+
+from corpus import named_frames
 
 
 @pytest.fixture()
@@ -226,6 +235,58 @@ def test_antichain_rejects_comparable(c2, diamond):
     assert not report.is_antichain
     assert report.comparable_pairs == ((0, 1),)
     assert report.regular_flags == (False, False)
+
+
+@pytest.fixture
+def listings(monkeypatch):
+    # the posets whose automorphisms antichain_verify lists, in order
+    listed, real = [], jankov.list_automorphisms
+
+    def recorded(P, budget):
+        listed.append(P)
+        return real(P, budget)
+
+    monkeypatch.setattr(jankov, "list_automorphisms", recorded)
+    return listed
+
+
+def test_antichain_matches_plain_pairs_on_random_families(corpus6, listings):
+    frames = corpus6 + named_frames()
+    assert len(frames) == 420
+    rnd, plain = random.Random(0), {}
+    for _ in range(3000):
+        picks = rnd.sample(range(len(frames)), rnd.randint(2, 4))
+        want = []
+        for i, a in enumerate(picks):
+            for j, b in enumerate(picks):
+                if i != j:
+                    if (a, b) not in plain:
+                        plain[a, b] = is_leq(frames[a], frames[b])
+                    if plain[a, b]:
+                        want.append((i, j))
+        report = antichain_verify([frames[k] for k in picks])
+        assert report.comparable_pairs == tuple(want), picks
+    # the symmetric route ran too
+    assert listings
+
+
+def test_antichain_lists_each_member_at_most_once(listings):
+    G = [make_delta1(n) for n in range(3, 8)]
+    assert antichain_verify(G).is_antichain
+    assert listings and len(set(map(id, listings))) == len(listings)
+
+
+def test_short_searches_list_no_automorphisms(listings):
+    # large groups, short searches: listing them cost up to 36 s on the fans
+    def fan(k):
+        return FinitePoset(["r"] + [f"m{i}" for i in range(k)], [("r", f"m{i}") for i in range(k)])
+
+    def antichain(k):
+        return FinitePoset([f"x{i}" for i in range(k)], [])
+
+    assert antichain_verify([fan(60), fan(61)]).comparable_pairs == ((0, 1),)
+    assert antichain_verify([antichain(12), antichain(13)]).comparable_pairs == ((0, 1),)
+    assert listings == []
 
 
 def test_separating_formula_on_towers(p1):

@@ -7,13 +7,13 @@ from esakialab import cli, heyting, jankov
 from esakialab.budget import SweepGuardError
 from esakialab.heyting import is_leq
 from esakialab.jankov import antichain_verify
+from esakialab.logic import Symmetry
 from esakialab.poset_core import (
     FinitePoset,
     PMorphism,
     ReductionError,
     apply_reduction,
     enumerate_reductions,
-    enumerate_surjective_p_morphisms,
     iter_surjective_p_morphisms,
     make_delta0,
     make_delta1,
@@ -26,7 +26,7 @@ from esakialab.poset_core import (
 from esakialab.poset_core import morphisms
 from esakialab.regularity import is_strongly_regular
 
-from corpus import canonical_key
+from corpus import canonical_key, named_frames
 
 
 def test_from_dict_and_validate(fork, c2):
@@ -51,6 +51,10 @@ def test_back_condition_violation(c2):
     assert kind == "back"
 
 
+def _sorted_surjections(P, Q):
+    return sorted(iter_surjective_p_morphisms(P, Q), key=lambda f: f.mapping)
+
+
 def test_surjective_morphism_counts(p1, c2, c3, fork, a2):
     expectations = [
         (fork, c2, 1),
@@ -60,14 +64,14 @@ def test_surjective_morphism_counts(p1, c2, c3, fork, a2):
         (c3, c2, 2),
     ]
     for src, tgt, want in expectations:
-        got = enumerate_surjective_p_morphisms(src, tgt)
+        got = _sorted_surjections(src, tgt)
         assert len(got) == want, (src.name, tgt.name)
         for f in got:
             assert validate_p_morphism(f) and f.is_surjective
 
 
 def test_enumeration_matches_brute_force(c3, c2, corpus5):
-    assert len(enumerate_surjective_p_morphisms(c3, c2)) == len(
+    assert len(_sorted_surjections(c3, c2)) == len(
         reference.surjective_p_morphisms(c3, c2)
     ) == 2
     pairs = 0
@@ -76,7 +80,7 @@ def test_enumeration_matches_brute_force(c3, c2, corpus5):
             if len(Q) > 4 or len(Q) ** len(P) > 256:
                 continue
             pairs += 1
-            assert enumerate_surjective_p_morphisms(P, Q) == reference.surjective_p_morphisms(
+            assert _sorted_surjections(P, Q) == reference.surjective_p_morphisms(
                 P, Q
             ), (P.up, Q.up)
     assert pairs == 1080
@@ -102,12 +106,9 @@ def test_is_leq_matches_brute_force(corpus_levels):
 
 
 def test_is_leq_matches_all_upsets_sweep(corpus5):
-    named = [make_medvedev(n) for n in (2, 3, 4)]
-    named += [make_delta0(n) for n in (1, 2, 3)] + [make_delta1(n) for n in (3, 4, 5)]
-    named += [make_ladder(kind, n) for kind in ("R0", "R1", "R2") for n in (3, 4)]
     # sources with one to five minimal points, so rooted and non-rooted ones
     assert len(corpus5) == 87
-    for family in (corpus5, named):
+    for family in (corpus5, named_frames()):
         for A in family:
             for B in family:
                 assert is_leq(A, B) == reference.is_leq_all_upsets(A, B), (A.up, B.up)
@@ -158,8 +159,8 @@ def reference_nodes(monkeypatch):
     calls = [0]
     real = reference.extend
 
-    def counting(P, Q, order, assign, pos, image, like=None, budget=None):
-        assert like is None
+    def counting(P, Q, order, assign, pos, image, like=None, budget=None, symmetry=None):
+        assert like is None and symmetry is None
         calls[0] += 1
         return real(P, Q, order, assign, pos, image)
 
@@ -168,9 +169,13 @@ def reference_nodes(monkeypatch):
     return calls
 
 
+def _plain_pairs(family) -> list[bool]:
+    # every ordered pair of distinct members, searched plainly
+    return [is_leq(A, B) for A in family for B in family if A is not B]
+
+
 def _check_search_work(nodes, corpus_levels):
-    report = antichain_verify([make_delta1(n) for n in (3, 4, 5)])
-    assert report.is_antichain
+    assert _plain_pairs([make_delta1(n) for n in (3, 4, 5)]) == [False] * 6
     assert nodes[0] == 31758
 
     nodes[0] = 0
@@ -186,18 +191,28 @@ def _check_rooted_search_work(nodes):
     assert nodes[0] == 8
 
     nodes[0] = 0
-    report = antichain_verify([make_delta1(n) for n in (3, 4, 5, 6)])
-    assert report.is_antichain
-    assert report.regular_flags == report.strongly_regular_flags == (True,) * 4
+    assert _plain_pairs([make_delta1(n) for n in (3, 4, 5, 6)]) == [False] * 12
     assert nodes[0] == 473918
+
+
+def _check_antichain_work(nodes, top: int) -> int:
+    # the nodes of antichain_verify on G3..G<top>, listings included
+    nodes[0] = 0
+    report = antichain_verify([make_delta1(n) for n in range(3, top + 1)])
+    assert report.is_antichain
+    assert report.regular_flags == report.strongly_regular_flags == (True,) * (top - 2)
+    return nodes[0]
 
 
 def test_search_work_is_pinned(search_nodes, corpus_levels):
     _check_search_work(search_nodes, corpus_levels)
+    # with one candidate per orbit once a member's searches prove long
+    assert _check_antichain_work(search_nodes, 5) == 4008
 
 
 def test_rooted_source_tries_only_principal_upsets(search_nodes):
     _check_rooted_search_work(search_nodes)
+    assert _check_antichain_work(search_nodes, 6) == 12231
 
 
 def test_recursive_reference_does_the_pinned_work(reference_nodes, corpus_levels):
@@ -344,6 +359,32 @@ def test_countdown_leaves_minus_one_or_what_is_unspent(monkeypatch):
                 assert first(run, b) == (b, -1, None), b
 
 
+def test_a_lower_cap_refuses_and_never_answers_no():
+    # G3 <= F3 is false after 224 nodes; a cap below that is refused even
+    # though it is below ESAKIA_MAX_SWEEP
+    G3, F3 = make_delta1(3), make_delta0(3)
+    for b in range(224):
+        with pytest.raises(SweepGuardError, match=f"^is_leq: search nodes = {b + 1} nodes, "):
+            morphisms._is_leq(G3, F3, b)
+        assert morphisms._leq_search(G3, F3, b) is None
+    assert morphisms._is_leq(G3, F3, 224) is False
+
+
+def test_search_with_symmetry_keeps_the_plain_verdict(corpus5):
+    # Aut(A) whole, its first map only and its first half: any set of
+    # automorphisms keeps the verdict
+    family = corpus5 + named_frames()
+    plain = [[is_leq(A, B) for B in family] for A in family]
+    for A, row in zip(family, plain):
+        maps, _, finished = morphisms.list_automorphisms(A, 10**6)
+        assert finished
+        for listing in (maps, maps[:1], maps[: len(maps) // 2]):
+            symmetry = Symmetry(range(len(A)), listing)
+            got = [morphisms._leq_search(A, B, math.inf, symmetry) for B in family]
+            assert got == row, (A.up, len(listing))
+    assert (len(family) ** 2, sum(map(sum, plain))) == (10404, 1255)
+
+
 def test_countdown_is_read_again_after_each_yield(c3, c2):
     # C3 maps onto C2 twice in five nodes; the first yield comes at the third
     budget = [10]
@@ -351,12 +392,6 @@ def test_countdown_is_read_again_after_each_yield(c3, c2):
     assert tuple(next(search)) == (0, 0, 1) and budget == [7]
     budget[0] = 0
     assert next(search, None) is None and budget == [-1]
-
-
-def test_iterator_agrees_with_list(fork, c2):
-    assert list(iter_surjective_p_morphisms(fork, c2)) == enumerate_surjective_p_morphisms(
-        fork, c2
-    )
 
 
 def test_alpha_reduction_on_chain(c2):
