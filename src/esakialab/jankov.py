@@ -35,7 +35,6 @@ from .logic import (
     Iff,
     Implies,
     Or,
-    Symmetry,
     Top,
     atoms,
     big_and,
@@ -44,8 +43,8 @@ from .logic import (
     refutes,
     stage_nodes,
 )
-from .poset_core import FinitePoset, list_automorphisms
-from .poset_core.morphisms import _is_leq, _leq_search
+from .poset_core import FinitePoset
+from .poset_core.morphisms import _is_leq
 from .regularity import is_regular_structural, is_strongly_regular
 
 # Negative-valuation sweeps cost |B-core|^len(atoms); four atoms keeps the
@@ -264,36 +263,21 @@ def antichain_verify(posets: list[FinitePoset]) -> AntichainReport:
     """Check pairwise incomparability in both directions, with regularity flags.
 
     Each ordered pair asks ``is_leq(A, B)``, each under its own countdown
-    of ``sweep_limit()`` points assigned. The searches onto a member A run
-    plain, capped at |A|^3 points (or the countdown, if smaller), until one
-    runs out of that cap. Then A's automorphisms are listed, once, under
-    the same cap, and that pair and every later pair onto A search one
-    candidate per orbit (``_extend``'s ``symmetry``), a cut listing used as
-    it is. So members whose searches are short list nothing, however large
-    their groups."""
+    of ``sweep_limit()`` points assigned, read once per call. So a member
+    whose searches run long lists its automorphisms once, on the poset,
+    and every later pair onto it tries one candidate per orbit; members
+    whose searches are short list nothing, however large their groups."""
     family = tuple(posets)
     limit = sweep_limit()
-    groups: dict[int, Symmetry] = {}
-    pairs = []
-    for i, A in enumerate(family):
-        cap = min(len(A) ** 3, limit)
-        for j, B in enumerate(family):
-            if i == j:
-                continue
-            if i in groups:
-                found = _leq_search(A, B, limit, groups[i])
-            else:
-                found = _leq_search(A, B, cap)
-                if found is None and cap < limit:
-                    groups[i] = Symmetry(range(len(A)), list_automorphisms(A, cap)[0])
-                    found = _leq_search(A, B, limit, groups[i])
-            if found is None:
-                charge("is_leq", "search nodes", limit + 1, "nodes")
-            if found:
-                pairs.append((i, j))
+    pairs = tuple(
+        (i, j)
+        for i, A in enumerate(family)
+        for j, B in enumerate(family)
+        if i != j and _is_leq(A, B, limit)
+    )
     return AntichainReport(
         posets=family,
-        comparable_pairs=tuple(pairs),
+        comparable_pairs=pairs,
         regular_flags=tuple(is_regular_structural(P) for P in family),
         strongly_regular_flags=tuple(is_strongly_regular(P) for P in family),
     )

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..budget import charge, sweep_limit
+from ..logic import Symmetry
 from .poset import FinitePoset, UnknownPointError, _bits, _renumbered, _top_down, collapse
 
 
@@ -110,34 +111,63 @@ def is_leq(Apos: FinitePoset, Bpos: FinitePoset) -> bool:
     the upsets generated by at most k points are tried, k the number of
     minimal points; for a rooted Apos, the principal upsets. An upset holds
     every point above its own, so it is searched on Bpos's rows, and each
-    node joins the images of its covers in Bpos (see ``_extend``).
+    node joins the images of its covers in Bpos (see ``_extend``). Past the
+    principal upsets, listing them costs |Bpos| per upset, charged on its
+    own once it passes ``sweep_limit()``, as ``FinitePoset.upsets`` charges.
 
-    The searches of all upsets share one countdown of ``sweep_limit()``
+    A search onto Apos runs plain, capped at |Apos|^3 points assigned (or
+    the countdown, if smaller), until one runs out of that cap. Then
+    Apos's automorphisms are listed under the same cap and kept on Apos,
+    and that search and every later one onto Apos try one candidate per
+    orbit (``_extend``'s ``symmetry``), a cut listing used as it is. So a
+    poset whose searches stay short lists nothing, however large its group.
+
+    The searches and the listing share one countdown of ``sweep_limit()``
     points assigned; past it the call raises ``SweepGuardError``."""
     return _is_leq(Apos, Bpos, sweep_limit())
 
 
 def _is_leq(Apos: FinitePoset, Bpos: FinitePoset, limit: float) -> bool:
-    """``is_leq`` with the search capped at ``limit`` points assigned;
-    ``math.inf`` never reads the budget. A spent countdown refuses, whatever
-    the cap."""
-    found = _leq_search(Apos, Bpos, limit)
+    """``is_leq`` with one countdown of ``limit`` points assigned; ``math.inf``
+    never reads the budget. A spent countdown refuses, whatever the cap.
+    Aut(Apos) is listed under |Apos|^3 alone, so what Apos keeps depends
+    on Apos only: a listing the countdown would cut refuses instead."""
+    upsets = _upsets_to_try(Apos, Bpos, limit)
+    if not upsets:
+        return False
+    symmetry, left = Apos._symmetry, limit
+    if symmetry is None:
+        m = len(Apos.points)
+        cap = min(m ** 3, limit)
+        found = _leq_search(Apos, Bpos, cap, None, upsets)
+        if found is not None:
+            return found
+        left -= cap
+        if left > 0:
+            maps, spent, finished = list_automorphisms(Apos, min(cap, left))
+            if finished or cap <= left:
+                symmetry = Apos._symmetry = Symmetry(range(m), maps)
+            left -= spent
+    found = None if symmetry is None else _leq_search(Apos, Bpos, left, symmetry, upsets)
     if found is None:
         charge("is_leq", "search nodes", limit + 1, "nodes", limit)
     return found
 
 
-def _leq_search(Apos: FinitePoset, Bpos: FinitePoset, limit: float, symmetry=None) -> bool | None:
+def _leq_search(
+    Apos: FinitePoset, Bpos: FinitePoset, limit: float, symmetry=None, upsets=None
+) -> bool | None:
     """``is_leq``'s search over one countdown of ``limit`` points assigned:
-    its verdict, or None once the countdown is spent. ``symmetry``, a
-    ``logic.Symmetry`` of automorphisms of Apos over its point indices,
-    prunes each upset's search to one candidate per orbit (see ``_extend``)."""
+    its verdict, or None once the countdown is spent. ``upsets`` are those
+    ``_upsets_to_try`` lists, under ``limit`` when not given. ``symmetry``,
+    a ``logic.Symmetry`` of automorphisms of Apos over its point indices,
+    prunes each upset's search to one candidate per orbit (see ``_extend``);
+    without it this is the plain search."""
+    if upsets is None:
+        upsets = _upsets_to_try(Apos, Bpos, limit)
     m = len(Apos.points)
-    if m == 0 or m > len(Bpos.points):
-        return False  # no upset of Bpos is large enough
-    k = sum(row == 1 << i for i, row in enumerate(Apos.down))
     order, assign, left = _top_down(Bpos), [-1] * len(Bpos.points), [limit]
-    for u in _generated_upsets(Bpos, k):
+    for u in upsets:
         if u.bit_count() < m:
             continue
         run = [i for i in order if u >> i & 1]
@@ -148,19 +178,35 @@ def _leq_search(Apos: FinitePoset, Bpos: FinitePoset, limit: float, symmetry=Non
     return False
 
 
-def _generated_upsets(P: FinitePoset, k: int) -> list[int]:
+def _upsets_to_try(Apos: FinitePoset, Bpos: FinitePoset, limit: float) -> list[int]:
+    """The upsets of Bpos that ``is_leq`` searches, none when Apos is empty
+    or has more points than Bpos."""
+    m = len(Apos.points)
+    if m == 0 or m > len(Bpos.points):
+        return []  # no upset of Bpos is large enough
+    k = sum(row == 1 << i for i, row in enumerate(Apos.down))
+    return _generated_upsets(Bpos, k, limit)
+
+
+def _generated_upsets(P: FinitePoset, k: int, limit: float) -> list[int]:
     """The distinct upsets of P generated by at most k points, stably by size.
 
     Round r ORs the sets first found in round r - 1 with every principal
     upset; older sets gave theirs in earlier rounds. Stops after k rounds
-    or at a fixed point."""
+    or at a fixed point. The first round gives P's own rows; after it the
+    listing costs |P| per set, charged to ``is_leq`` once it passes
+    ``limit``, so a wide source is refused before its 2^|P| sets."""
+    n = len(P.points)
     found = dict.fromkeys([0])
     frontier = [0]
-    for _ in range(k):
+    for r in range(k):
         size = len(found)
         for u in frontier:
             for row in P.up:
                 found.setdefault(u | row)
+            if r and len(found) * n > limit:
+                expr = f"|B| x generated upsets = {n} x {len(found)}"
+                charge("is_leq", expr, n * len(found), "steps", limit)
         if len(found) == size:
             break
         frontier = list(found)[size:]
@@ -206,8 +252,11 @@ def _extend(
     covers' images, so a(q) is a candidate too, and f followed by a is a
     surjective p-morphism that agrees with f before x and comes earlier in
     the order. So the plain search's first surjection is never dropped,
-    whatever maps are listed; later ones may be, so listing passes none.
-    Where ``stab`` is 0 a node filters nothing."""
+    whatever maps are listed; later ones may be. So ``is_leq``, which asks
+    only for existence, passes Q's kept automorphisms once its searches onto
+    Q run long, while ``iter_surjective_p_morphisms`` and
+    ``list_automorphisms``, which list, pass none. Where ``stab`` is 0 a
+    node filters nothing."""
     n, m = len(order), len(Q.points)
     if pos == n:
         if image == Q.full_mask:

@@ -40,9 +40,11 @@ class FinitePoset:
     """
 
     # _algebra: a weak link to the upset algebra heyting.dual_algebra built last;
-    # _covers and _up_index: see covers and up_index, each built on first use
+    # _covers and _up_index: see covers and up_index, each built on first use;
+    # _symmetry: the automorphisms morphisms.is_leq lists once a search onto P runs long
     __slots__ = (
-        "points", "up", "down", "name", "_index", "_maximal", "_algebra", "_covers", "_up_index"
+        "points", "up", "down", "name", "_index", "_maximal", "_algebra", "_covers", "_up_index",
+        "_symmetry",
     )
 
     def __init__(
@@ -105,6 +107,7 @@ class FinitePoset:
         self._algebra = None
         self._covers = None
         self._up_index = None
+        self._symmetry = None
         # finite posets always have a maximal point above every point
         assert all(up[i] & maximal for i in range(n))
 
@@ -126,6 +129,7 @@ class FinitePoset:
 
     def __reduce__(self):
         # copies and pickles rebuild from the rows, without the weak algebra link
+        # or the listed automorphisms
         return type(self)._from_rows, (self.points, self.up, self.name)
 
     def __repr__(self) -> str:

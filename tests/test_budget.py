@@ -64,13 +64,23 @@ CASES = [
     ("upsets", 100, lambda fx: _antichain5().upsets),
     # the fork maps onto C2 at its third node, one past this budget
     ("is_leq", 2, lambda fx: lambda: is_leq(fx("c2"), fx("fork"))),
+    # five minimal points: B's upsets by at most 5 points, 5 x 21 steps by its third round
+    ("is_leq", 100, lambda fx: lambda: is_leq(_antichain5(), _antichain5())),
     # C3 maps onto C2 twice in five nodes, one past this budget
     ("iter_surjective_p_morphisms", 4,
      lambda fx: lambda: list(iter_surjective_p_morphisms(fx("c3"), fx("c2")))),
 ]
 
 
-@pytest.mark.parametrize("layer, limit, make", CASES, ids=[case[0] for case in CASES])
+def _case_ids() -> list[str]:
+    # a layer's first case is named by the layer, a later one by its budget too
+    ids: list[str] = []
+    for layer, limit, _ in CASES:
+        ids.append(f"{layer}@{limit}" if layer in ids else layer)
+    return ids
+
+
+@pytest.mark.parametrize("layer, limit, make", CASES, ids=_case_ids())
 def test_every_charge_refuses_in_one_shape(layer, limit, make, request, monkeypatch):
     call = make(request.getfixturevalue)
     monkeypatch.setenv("ESAKIA_MAX_SWEEP", str(limit))

@@ -367,20 +367,41 @@ def test_leq_of_the_fork_in_a_long_chain(capsys, written, tmp_path):
     assert invoke(capsys, "leq", written["V"], chain) == (0, "leq: no\n", "")
 
 
-def test_leq_refuses_a_search_past_the_budget(capsys, tmp_path, monkeypatch):
-    # G6 <= G8 is false, and its plain search runs past ten million nodes
+def write_g6_and_g8(tmp_path) -> list[str]:
     paths = []
     for n in (6, 8):
         path = tmp_path / f"g{n}.json"
         path.write_text(make_delta1(n).to_json(), encoding="utf-8")
         paths.append(str(path))
-    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "100000")
-    code, out, err = invoke(capsys, "leq", *paths)
+    return paths
+
+
+def test_leq_of_g6_in_g8_at_the_default_budget(capsys, tmp_path):
+    # false; the plain search runs past ten million nodes, one candidate per
+    # orbit of Aut(G6) takes about 113 thousand, listing included
+    assert invoke(capsys, "leq", *write_g6_and_g8(tmp_path)) == (0, "leq: no\n", "")
+
+
+def test_leq_refuses_a_search_past_the_budget(capsys, tmp_path, monkeypatch):
+    # G6 <= G8 needs 113,147 nodes: 15^3 plain, as many listing Aut(G6), and
+    # this budget ends in the symmetric search
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "10000")
+    code, out, err = invoke(capsys, "leq", *write_g6_and_g8(tmp_path))
     assert code == 2 and one_error_line(out, err)
     assert err == (
-        "error: is_leq: search nodes = 100001 nodes, more than the budget of 100000 "
+        "error: is_leq: search nodes = 10001 nodes, more than the budget of 10000 "
         "(ESAKIA_MAX_SWEEP)\n"
     )
+
+
+def test_leq_refuses_to_list_the_upsets_of_a_wide_poset(capsys, tmp_path):
+    # 22 minimal points: every upset of the other antichain, 2^22 sets; the
+    # listing is refused at about 454 thousand
+    path = tmp_path / "wide22.json"
+    path.write_text(json.dumps({"points": [f"a{i}" for i in range(22)], "leq": []}))
+    code, out, err = invoke(capsys, "leq", str(path), str(path))
+    assert code == 2 and one_error_line(out, err)
+    assert err.startswith("error: is_leq: |B| x generated upsets = 22 x ")
 
 
 def test_antichain_on_chains_past_the_recursion_limit(capsys, tmp_path):

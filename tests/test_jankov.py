@@ -1,5 +1,7 @@
+import copy
 import gc
 import json
+import math
 import random
 from collections import Counter
 
@@ -22,6 +24,7 @@ from esakialab.poset_core import (
     make_delta0,
     make_delta1,
     make_medvedev,
+    morphisms,
 )
 from esakialab.regularity import is_regular_bruteforce_morphism
 
@@ -239,19 +242,20 @@ def test_antichain_rejects_comparable(c2, diamond):
 
 @pytest.fixture
 def listings(monkeypatch):
-    # the posets whose automorphisms antichain_verify lists, in order
-    listed, real = [], jankov.list_automorphisms
+    # the posets whose automorphisms is_leq lists, in order
+    listed, real = [], morphisms.list_automorphisms
 
     def recorded(P, budget):
         listed.append(P)
         return real(P, budget)
 
-    monkeypatch.setattr(jankov, "list_automorphisms", recorded)
+    monkeypatch.setattr(morphisms, "list_automorphisms", recorded)
     return listed
 
 
 def test_antichain_matches_plain_pairs_on_random_families(corpus6, listings):
-    frames = corpus6 + named_frames()
+    # copies, so that the groups listed stay off the shared corpus
+    frames = [copy.copy(P) for P in corpus6 + named_frames()]
     assert len(frames) == 420
     rnd, plain = random.Random(0), {}
     for _ in range(3000):
@@ -261,7 +265,7 @@ def test_antichain_matches_plain_pairs_on_random_families(corpus6, listings):
             for j, b in enumerate(picks):
                 if i != j:
                     if (a, b) not in plain:
-                        plain[a, b] = is_leq(frames[a], frames[b])
+                        plain[a, b] = morphisms._leq_search(frames[a], frames[b], math.inf)
                     if plain[a, b]:
                         want.append((i, j))
         report = antichain_verify([frames[k] for k in picks])
@@ -274,6 +278,15 @@ def test_antichain_lists_each_member_at_most_once(listings):
     G = [make_delta1(n) for n in range(3, 8)]
     assert antichain_verify(G).is_antichain
     assert listings and len(set(map(id, listings))) == len(listings)
+    # each group stays on its poset, so later calls onto it list nothing more
+    kept, count = [P._symmetry for P in G], len(listings)
+    assert antichain_verify(G).is_antichain
+    assert not any(is_leq(A, B) for A in G for B in G if A is not B)
+    assert len(listings) == count
+    assert all(P._symmetry is S for P, S in zip(G, kept))
+    assert sum(S is not None for S in kept) == count
+    # copies and pickles rebuild from the rows, without it
+    assert all(copy.copy(P)._symmetry is None for P in G)
 
 
 def test_short_searches_list_no_automorphisms(listings):
@@ -284,8 +297,9 @@ def test_short_searches_list_no_automorphisms(listings):
     def antichain(k):
         return FinitePoset([f"x{i}" for i in range(k)], [])
 
-    assert antichain_verify([fan(60), fan(61)]).comparable_pairs == ((0, 1),)
-    assert antichain_verify([antichain(12), antichain(13)]).comparable_pairs == ((0, 1),)
+    for family in ([fan(60), fan(61)], [antichain(12), antichain(13)]):
+        assert antichain_verify(family).comparable_pairs == ((0, 1),)
+        assert all(P._symmetry is None for P in family)
     assert listings == []
 
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -118,7 +119,7 @@ def test_generated_upsets_are_those_with_few_minimal_points(corpus6):
     for B in corpus6:
         minimal = {u: sum(B.down[i] & u == 1 << i for i in range(len(B))) for u in B.upsets()}
         for k in (1, 2, 3):
-            got = morphisms._generated_upsets(B, k)
+            got = morphisms._generated_upsets(B, k, math.inf)
             assert len(got) == len(set(got)), B
             assert sorted(got, key=int.bit_count) == got, B
             assert set(got) == {u for u, n in minimal.items() if n <= k}, (B, k)
@@ -169,9 +170,13 @@ def reference_nodes(monkeypatch):
     return calls
 
 
+def _plain(A, B) -> bool:
+    return morphisms._leq_search(A, B, math.inf)
+
+
 def _plain_pairs(family) -> list[bool]:
     # every ordered pair of distinct members, searched plainly
-    return [is_leq(A, B) for A in family for B in family if A is not B]
+    return [_plain(A, B) for A in family for B in family if A is not B]
 
 
 def _check_search_work(nodes, corpus_levels):
@@ -181,13 +186,13 @@ def _check_search_work(nodes, corpus_levels):
     nodes[0] = 0
     sources = [P for level in corpus_levels[:4] for P in level]
     targets = [P for level in corpus_levels[:5] for P in level]
-    holds = sum(is_leq(A, B) for A in sources for B in targets)
+    holds = sum(_plain(A, B) for A in sources for B in targets)
     assert (holds, nodes[0]) == (638, 26533)
 
 
 def _check_rooted_search_work(nodes):
     # M4 lists small non-principal upsets before the principal ones
-    assert is_leq(make_medvedev(3), make_medvedev(4))
+    assert _plain(make_medvedev(3), make_medvedev(4))
     assert nodes[0] == 8
 
     nodes[0] = 0
@@ -195,24 +200,28 @@ def _check_rooted_search_work(nodes):
     assert nodes[0] == 473918
 
 
-def _check_antichain_work(nodes, top: int) -> int:
-    # the nodes of antichain_verify on G3..G<top>, listings included
+def _check_symmetric_work(nodes, top: int) -> tuple[int, int]:
+    # the nodes of is_leq over every ordered pair of G3..G<top>, and of
+    # antichain_verify on them, each on fresh posets, listings included
+    G = [make_delta1(n) for n in range(3, top + 1)]
     nodes[0] = 0
+    assert not any([is_leq(A, B) for A in G for B in G if A is not B])
+    pairwise, nodes[0] = nodes[0], 0
     report = antichain_verify([make_delta1(n) for n in range(3, top + 1)])
     assert report.is_antichain
     assert report.regular_flags == report.strongly_regular_flags == (True,) * (top - 2)
-    return nodes[0]
+    return pairwise, nodes[0]
 
 
 def test_search_work_is_pinned(search_nodes, corpus_levels):
     _check_search_work(search_nodes, corpus_levels)
-    # with one candidate per orbit once a member's searches prove long
-    assert _check_antichain_work(search_nodes, 5) == 4008
+    # with one candidate per orbit once searches onto a poset prove long
+    assert _check_symmetric_work(search_nodes, 5) == (4008, 4008)
 
 
 def test_rooted_source_tries_only_principal_upsets(search_nodes):
     _check_rooted_search_work(search_nodes)
-    assert _check_antichain_work(search_nodes, 6) == 12231
+    assert _check_symmetric_work(search_nodes, 6) == (12231, 12231)
 
 
 def test_recursive_reference_does_the_pinned_work(reference_nodes, corpus_levels):
@@ -229,7 +238,7 @@ def test_search_loop_matches_recursive_reference(corpus5):
             for B in family:
                 # B onto A from every upset of B, as is_leq and the full search start it
                 order = morphisms._top_down(B)
-                for u in morphisms._generated_upsets(B, len(B)):
+                for u in morphisms._generated_upsets(B, len(B), math.inf):
                     args = (B, A, [i for i in order if u >> i & 1])
                     got = [tuple(a) for a in morphisms._extend(*args, [-1] * len(B), 0, 0)]
                     want = [tuple(a) for a in reference.extend(*args, [-1] * len(B), 0, 0)]
@@ -321,6 +330,29 @@ def test_is_leq_charges_one_countdown_over_all_upsets(monkeypatch):
         is_leq(A, B)
 
 
+def test_is_leq_counts_its_listing_in_the_one_countdown(monkeypatch):
+    # G6 <= G8 is false after 113,147 nodes: 15^3 plain, 3,375 listing
+    # Aut(G6), cut there, and 106,397 with one candidate per orbit
+    G8 = make_delta1(8)
+
+    def refused(A, budget):
+        monkeypatch.setenv("ESAKIA_MAX_SWEEP", str(budget))
+        with pytest.raises(SweepGuardError, match=f"^is_leq: search nodes = {budget + 1} nodes, "):
+            is_leq(A, G8)
+
+    # a listing that this countdown would cut is not kept
+    refused(G6 := make_delta1(6), 5000)
+    assert G6._symmetry is None
+    refused(G6 := make_delta1(6), 113146)
+    assert G6._symmetry is not None
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "113147")
+    assert not is_leq(make_delta1(6), G8)
+    # a later call onto G6 starts from the group it keeps
+    refused(G6, 106396)
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "106397")
+    assert not is_leq(G6, G8)
+
+
 def test_countdown_leaves_minus_one_or_what_is_unspent(monkeypatch):
     # G3 <= F3 searches out 224 nodes over F3's principal upsets; G3 onto
     # itself stops at its first surjection
@@ -328,7 +360,7 @@ def test_countdown_leaves_minus_one_or_what_is_unspent(monkeypatch):
     runs = []
     for A, B in ((G3, F3), (G3, G3)):
         order = morphisms._top_down(B)
-        for u in morphisms._generated_upsets(B, 1):
+        for u in morphisms._generated_upsets(B, 1, math.inf):
             if u.bit_count() >= len(A):
                 runs.append((B, A, [i for i in order if u >> i & 1]))
 
@@ -374,7 +406,7 @@ def test_search_with_symmetry_keeps_the_plain_verdict(corpus5):
     # Aut(A) whole, its first map only and its first half: any set of
     # automorphisms keeps the verdict
     family = corpus5 + named_frames()
-    plain = [[is_leq(A, B) for B in family] for A in family]
+    plain = [[_plain(A, B) for B in family] for A in family]
     for A, row in zip(family, plain):
         maps, _, finished = morphisms.list_automorphisms(A, 10**6)
         assert finished
@@ -383,6 +415,13 @@ def test_search_with_symmetry_keeps_the_plain_verdict(corpus5):
             got = [morphisms._leq_search(A, B, math.inf, symmetry) for B in family]
             assert got == row, (A.up, len(listing))
     assert (len(family) ** 2, sum(map(sum, plain))) == (10404, 1255)
+    # is_leq on copies, as its rule lists, then with each copy keeping its whole group
+    copies = [copy.copy(A) for A in family]
+    assert [[is_leq(A, B) for B in family] for A in copies] == plain
+    assert sum(A._symmetry is not None for A in copies) == 90
+    for A in copies:
+        A._symmetry = Symmetry(range(len(A)), morphisms.list_automorphisms(A, 10**6)[0])
+    assert [[is_leq(A, B) for B in family] for A in copies] == plain
 
 
 def test_countdown_is_read_again_after_each_yield(c3, c2):
