@@ -19,7 +19,6 @@ from .poset_core import (
     UnknownPointError,
     apply_reduction,
     depth_width,
-    downset_closure,
     enumerate_reductions,
     iter_surjective_p_morphisms,
     make_delta0,
@@ -30,8 +29,6 @@ from .poset_core import (
     point_depths,
     p_morphism_violation,
     strong_regularization,
-    upset_closure,
-    validate_p_morphism,
 )
 from .heyting import (
     CoreTraceReport,

@@ -13,17 +13,10 @@ import functools
 import json
 import sys
 
+from .budget import SweepGuardError
 from .heyting import TensorUndefinedError, dual_algebra, is_leq, is_regularly_generated
 from .jankov import antichain_verify, jankov_dna_formula
-from .logic import (
-    FormulaSyntaxError,
-    SweepGuardError,
-    format_formula,
-    is_dna_valid,
-    is_valid,
-    parse,
-    team_valid,
-)
+from .logic import FormulaSyntaxError, format_formula, is_dna_valid, is_valid, parse, team_valid
 from .poset_core import (
     FinitePoset,
     OrderConstructionError,

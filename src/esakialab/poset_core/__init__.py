@@ -6,10 +6,8 @@ from .poset import (
     ParentMismatchError,
     UnknownPointError,
     depth_width,
-    downset_closure,
     maximal_of,
     point_depths,
-    upset_closure,
 )
 from .morphisms import (
     PMorphism,
@@ -21,7 +19,6 @@ from .morphisms import (
     list_automorphisms,
     p_morphism_violation,
     strong_regularization,
-    validate_p_morphism,
 )
 from .frames import make_delta0, make_delta1, make_ladder, make_medvedev
 
@@ -32,12 +29,9 @@ __all__ = [
     "ParentMismatchError",
     "UnknownPointError",
     "ReductionError",
-    "upset_closure",
-    "downset_closure",
     "maximal_of",
     "point_depths",
     "depth_width",
-    "validate_p_morphism",
     "p_morphism_violation",
     "iter_surjective_p_morphisms",
     "is_leq",

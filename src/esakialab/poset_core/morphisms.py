@@ -1,7 +1,6 @@
 """P-morphisms between finite posets: validation, search, reductions."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -19,7 +18,7 @@ class PMorphism:
     """A total point map between two posets.
 
     ``mapping[i]`` is the target index of the i-th source point. Validity
-    (monotone plus back condition) is checked by :func:`validate_p_morphism`,
+    (monotone plus back condition) is checked by :func:`p_morphism_violation`,
     not at construction.
     """
 
@@ -81,11 +80,6 @@ def p_morphism_violation(f: PMorphism) -> tuple[str, str, str] | None:
     return None
 
 
-def validate_p_morphism(f: PMorphism) -> bool:
-    """True iff f is monotone and satisfies the back condition."""
-    return p_morphism_violation(f) is None
-
-
 def iter_surjective_p_morphisms(P: FinitePoset, Q: FinitePoset) -> Iterator[PMorphism]:
     """Backtracking search for surjective p-morphisms P onto Q.
 
@@ -96,7 +90,7 @@ def iter_surjective_p_morphisms(P: FinitePoset, Q: FinitePoset) -> Iterator[PMor
         return
     limit = sweep_limit()
     left = [limit]
-    for assign in _extend(P, Q, _top_down(P), [-1] * n, 0, 0, None, left):
+    for assign in _extend(P, Q, _top_down(P), [-1] * n, None, left):
         yield PMorphism(P, Q, tuple(assign))
     if left[0] < 0:  # stopped on the node past the budget
         charge("iter_surjective_p_morphisms", "search nodes", limit + 1, "nodes")
@@ -171,7 +165,7 @@ def _leq_search(
         if u.bit_count() < m:
             continue
         run = [i for i in order if u >> i & 1]
-        for _ in _extend(Bpos, Apos, run, assign, 0, 0, None, left, symmetry):
+        for _ in _extend(Bpos, Apos, run, assign, None, left, symmetry):
             return True
         if left[0] < 0:  # stopped on the node past the budget
             return None
@@ -214,8 +208,8 @@ def _generated_upsets(P: FinitePoset, k: int, limit: float) -> list[int]:
 
 
 def _extend(
-    P: FinitePoset, Q: FinitePoset, order: list[int], assign: list[int], pos: int, image: int,
-    like: list[int] | None = None, budget: list | None = None, symmetry=None,
+    P: FinitePoset, Q: FinitePoset, order: list[int], assign: list[int],
+    like: list[int] | None, budget: list, symmetry=None,
 ) -> Iterator[list[int]]:
     """Yield ``assign`` once per surjective p-morphism onto Q from the upset
     ``order`` of P, which lists it top-down: the points above x have their
@@ -226,8 +220,8 @@ def _extend(
     of the up(c), so f(strict up(x)) is the join of the up(f(c)), read in
     O(covers) rather than O(|up(x)|). The q with up(q) = that join plus q
     are ``Q.up_index``'s entry for it, so a node reads its few candidates
-    and tests none. Points ``order[:pos]`` are already assigned, with
-    images ``image``.
+    and tests none. An empty ``order`` yields once, the empty map, when Q
+    is empty too.
 
     Depth-first over an explicit stack, so a long chain costs no
     interpreter frames: moving on to the next position pushes the current
@@ -243,12 +237,11 @@ def _extend(
     int, written back to ``budget[0]`` before each yield and return and
     read again after each yield.
 
-    ``symmetry``, when given to a search from ``pos`` 0, is a
-    ``logic.Symmetry`` of automorphisms of Q over its point indices, and
-    the search then only decides whether a surjection exists. Each stack
-    entry keeps its position's ``stab``, the listed maps that fix every
-    image so far, and a node drops a candidate q that one of them sends
-    lower. Such a map a fixes the join of the
+    ``symmetry``, when given, is a ``logic.Symmetry`` of automorphisms of
+    Q over its point indices, and the search then only decides whether a
+    surjection exists. Each stack entry keeps its position's ``stab``, the
+    listed maps that fix every image so far, and a node drops a candidate
+    q that one of them sends lower. Such a map a fixes the join of the
     covers' images, so a(q) is a candidate too, and f followed by a is a
     surjective p-morphism that agrees with f before x and comes earlier in
     the order. So the plain search's first surjection is never dropped,
@@ -258,14 +251,12 @@ def _extend(
     ``list_automorphisms``, which list, pass none. Where ``stab`` is 0 a
     node filters nothing."""
     n, m = len(order), len(Q.points)
-    if pos == n:
-        if image == Q.full_mask:
+    if not n:
+        if not m:
             yield assign
         return
-    if budget is None:
-        budget = [math.inf]
     Pcovers, Qup, candidates_of = P.covers, Q.up, Q.up_index.get
-    count, stack = budget[0], []
+    count, stack, pos, image = budget[0], [], 0, 0
     stab = symmetry.every if symmetry else 0
     if stab:
         lowers, fixes = symmetry.lowers, symmetry.fixes
@@ -335,7 +326,7 @@ def list_automorphisms(
         same[k] = same.get(k, 0) | 1 << i
     like = [same[k] for k in key]
     left, identity = [budget], list(range(n))
-    found = _extend(P, P, _top_down(P), [-1] * n, 0, 0, like, left)
+    found = _extend(P, P, _top_down(P), [-1] * n, like, left)
     maps = tuple(tuple(f) for f in found if f != identity)
     return maps, budget - max(left[0], 0), left[0] >= 0
 
@@ -381,7 +372,7 @@ def apply_reduction(
     block_of[yi] = block_of[xi]
     reduced = collapse(P, block_of, keep, name=f"{P.name}/{kind}" if P.name else None)
     h = PMorphism(P, reduced, tuple(block_of))
-    if not validate_p_morphism(h):
+    if p_morphism_violation(h) is not None:
         raise RuntimeError("reduction map failed validation; this is a bug")
     return reduced, h
 
@@ -426,6 +417,6 @@ def strong_regularization(P: FinitePoset) -> tuple[FinitePoset, PMorphism]:
             mapping.append(next(_bits(P.m_mask(i))))
     result = FinitePoset._from_rows(points, up, f"{P.name}*" if P.name else None)
     retraction = PMorphism(result, P, tuple(mapping))
-    if not validate_p_morphism(retraction):
+    if p_morphism_violation(retraction) is not None:
         raise RuntimeError("star retraction failed validation; this is a bug")
     return result, retraction

@@ -213,14 +213,18 @@ class FinitePoset:
         return self._up_index
 
     def up_mask_of(self, mask: int) -> int:
+        """Least upward-closed superset of the mask; UnknownPointError for
+        a mask with bits beyond the poset."""
         out = 0
-        for i in _bits(mask):
+        for i in _bits(_within(self, mask)):
             out |= self.up[i]
         return out
 
     def down_mask_of(self, mask: int) -> int:
+        """Least downward-closed superset of the mask; UnknownPointError
+        for a mask with bits beyond the poset."""
         out = 0
-        for i in _bits(mask):
+        for i in _bits(_within(self, mask)):
             out |= self.down[i]
         return out
 
@@ -363,16 +367,6 @@ def _within(P: FinitePoset, mask: int) -> int:
     if mask >> len(P.points):
         raise UnknownPointError(f"mask {mask:#x} has bits beyond the poset")
     return mask
-
-
-def upset_closure(P: FinitePoset, mask: int) -> int:
-    """Least upward-closed superset of the mask."""
-    return P.up_mask_of(_within(P, mask))
-
-
-def downset_closure(P: FinitePoset, mask: int) -> int:
-    """Least downward-closed superset of the mask."""
-    return P.down_mask_of(_within(P, mask))
 
 
 def maximal_of(P: FinitePoset, mask: int) -> int:

@@ -18,7 +18,7 @@ from .poset_core import (
     OrderConstructionError,
     ParentMismatchError,
     PMorphism,
-    validate_p_morphism,
+    p_morphism_violation,
 )
 from .poset_core.poset import _bits, _renumbered, collapse
 
@@ -218,7 +218,7 @@ def is_regular_bruteforce_morphism(P: FinitePoset) -> bool:
         except OrderConstructionError:
             continue
         f = PMorphism(P, Q, tuple(cls))
-        if not validate_p_morphism(f):
+        if p_morphism_violation(f) is not None:
             continue
         if {cls[i] for i in _bits(P.maximal_mask)} != set(_bits(Q.maximal_mask)):
             continue
@@ -309,10 +309,6 @@ def separation_equivalence_check(P: FinitePoset, n: int | None) -> SeparationChe
 class MorphismRegularityReport:
     preserves_regulars: bool
     preserves_polynomials: bool
-    max_injective: bool
-    regular_pullback_iso: bool
-    sim_distinctness_forward: bool
-    generated_pullback_equal: bool
 
 
 def morphism_regularity_report(f: PMorphism) -> MorphismRegularityReport:
@@ -323,42 +319,44 @@ def morphism_regularity_report(f: PMorphism) -> MorphismRegularityReport:
     the source's. Polynomials likewise: forward preservation of limit-level
     distinctness against pullback equality of the generated subalgebras.
     Requires a surjective p-morphism; the pullback routes are only
-    equivalences under surjectivity.
+    equivalences under surjectivity. The two routes of each property are
+    cross-checked, and a disagreement raises RuntimeError, so the report
+    holds one verdict per property.
     """
-    if not validate_p_morphism(f):
+    if p_morphism_violation(f) is not None:
         raise ValueError("not a p-morphism")
     if not f.is_surjective:
         raise ValueError("report requires a surjective p-morphism")
     src, tgt = f.source, f.target
 
     seen: set[int] = set()
-    max_injective = True
+    injective_on_max = True
     for i in _bits(src.maximal_mask):
         q = f.mapping[i]
         if q in seen:
-            max_injective = False
+            injective_on_max = False
             break
         seen.add(q)
 
     src_regs = set(regular_upsets(src))
     tgt_regs = regular_upsets(tgt)
     pulled = [f.preimage_mask(v) for v in tgt_regs]
-    regular_pullback_iso = set(pulled) == src_regs and len(set(pulled)) == len(pulled)
+    pullback_iso = set(pulled) == src_regs and len(set(pulled)) == len(pulled)
     HS, HT = dual_algebra(src), dual_algebra(tgt)
-    if regular_pullback_iso:
+    if pullback_iso:
         for v in tgt_regs:
             if f.preimage_mask(HT.neg(v)) != HS.neg(f.preimage_mask(v)):
-                regular_pullback_iso = False
+                pullback_iso = False
                 break
             for w in tgt_regs:
                 if f.preimage_mask(HT.core_join(v, w)) != HS.core_join(
                     f.preimage_mask(v), f.preimage_mask(w)
                 ):
-                    regular_pullback_iso = False
+                    pullback_iso = False
                     break
-            if not regular_pullback_iso:
+            if not pullback_iso:
                 break
-    if regular_pullback_iso != max_injective:
+    if pullback_iso != injective_on_max:
         raise RuntimeError(
             "regularity routes disagree; this indicates an implementation bug"
         )
@@ -384,10 +382,6 @@ def morphism_regularity_report(f: PMorphism) -> MorphismRegularityReport:
         )
 
     return MorphismRegularityReport(
-        preserves_regulars=max_injective,
+        preserves_regulars=injective_on_max,
         preserves_polynomials=sim_forward,
-        max_injective=max_injective,
-        regular_pullback_iso=regular_pullback_iso,
-        sim_distinctness_forward=sim_forward,
-        generated_pullback_equal=gen_pullback_equal,
     )

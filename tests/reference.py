@@ -56,7 +56,6 @@ from esakialab.poset_core import (
     OrderConstructionError,
     PMorphism,
     iter_surjective_p_morphisms,
-    validate_p_morphism,
 )
 from esakialab.poset_core.poset import _bits, collapse
 
@@ -183,7 +182,7 @@ def surjective_p_morphisms(P, Q) -> list:
     found = []
     for mapping in product(range(len(Q)), repeat=len(P)):
         f = PMorphism(P, Q, mapping)
-        if f.is_surjective and validate_p_morphism(f):
+        if f.is_surjective and p_morphism_violation(f) is None:
             found.append(f)
     return found
 
@@ -253,7 +252,7 @@ def is_regular_bruteforce_all_kernels(P) -> bool:
         except OrderConstructionError:
             continue
         f = PMorphism(P, Q, tuple(cls))
-        if not validate_p_morphism(f):
+        if p_morphism_violation(f) is not None:
             continue
         if source_max_blocks != {c for c in range(k) if Q.maximal_mask >> c & 1}:
             continue
@@ -325,7 +324,7 @@ def separation_failure(P, ranks, n, part) -> tuple[str, str] | None:
     return None
 
 
-def generated_pullback_equal(f, source_members, target_members) -> bool:
+def pulls_back_onto(f, source_members, target_members) -> bool:
     """Whether f^-1 carries the target's members onto the source's, as sets."""
     return {f.preimage_mask(v) for v in target_members} == set(source_members)
 

@@ -47,8 +47,8 @@ from esakialab.poset_core import (
     make_delta1,
     make_ladder,
     make_medvedev,
+    p_morphism_violation,
     strong_regularization,
-    validate_p_morphism,
 )
 from esakialab.regularity import (
     is_regular_bruteforce_morphism,
@@ -177,7 +177,7 @@ def test_criterion_05_strong_regularization():
         if not is_strongly_regular(star):
             failures.append(("star not strongly regular", P.points))
         if not (
-            validate_p_morphism(retraction)
+            p_morphism_violation(retraction) is None
             and retraction.is_surjective
             and retraction.source is star
             and retraction.target == P

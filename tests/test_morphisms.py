@@ -22,7 +22,6 @@ from esakialab.poset_core import (
     make_medvedev,
     p_morphism_violation,
     strong_regularization,
-    validate_p_morphism,
 )
 from esakialab.poset_core import morphisms
 from esakialab.regularity import is_strongly_regular
@@ -32,7 +31,6 @@ from corpus import canonical_key, named_frames
 
 def test_from_dict_and_validate(fork, c2):
     f = PMorphism.from_dict(fork, c2, {"r": "r", "a": "m", "b": "m"})
-    assert validate_p_morphism(f)
     assert f.is_surjective
     assert p_morphism_violation(f) is None
 
@@ -40,14 +38,12 @@ def test_from_dict_and_validate(fork, c2):
 def test_monotonicity_violation(c2, a2):
     # r < m collapses onto an antichain point pair: not monotone
     f = PMorphism.from_dict(c2, a2, {"r": "u", "m": "v"})
-    assert not validate_p_morphism(f)
     kind, _, _ = p_morphism_violation(f)
     assert kind == "monotone"
 
 
 def test_back_condition_violation(c2):
     f = PMorphism.from_dict(c2, c2, {"r": "r", "m": "r"})
-    assert not validate_p_morphism(f)
     kind, _, _ = p_morphism_violation(f)
     assert kind == "back"
 
@@ -68,7 +64,7 @@ def test_surjective_morphism_counts(p1, c2, c3, fork, a2):
         got = _sorted_surjections(src, tgt)
         assert len(got) == want, (src.name, tgt.name)
         for f in got:
-            assert validate_p_morphism(f) and f.is_surjective
+            assert p_morphism_violation(f) is None and f.is_surjective
 
 
 def test_enumeration_matches_brute_force(c3, c2, corpus5):
@@ -145,9 +141,9 @@ def search_nodes(monkeypatch):
     nodes = [0]
     real = morphisms._extend
 
-    def counting(P, Q, order, assign, pos, image, *rest):
+    def counting(P, Q, order, assign, *rest):
         nodes[0] += 1
-        return real(P, Q, order, _CountingAssign(assign, nodes), pos, image, *rest)
+        return real(P, Q, order, _CountingAssign(assign, nodes), *rest)
 
     monkeypatch.setattr(morphisms, "_extend", counting)
     return nodes
@@ -160,13 +156,16 @@ def reference_nodes(monkeypatch):
     calls = [0]
     real = reference.extend
 
-    def counting(P, Q, order, assign, pos, image, like=None, budget=None, symmetry=None):
-        assert like is None and symmetry is None
+    def counting(P, Q, order, assign, pos, image):
         calls[0] += 1
         return real(P, Q, order, assign, pos, image)
 
+    def search(P, Q, order, assign, like, budget, symmetry=None):
+        assert like is None and symmetry is None
+        return counting(P, Q, order, assign, 0, 0)
+
     monkeypatch.setattr(reference, "extend", counting)
-    monkeypatch.setattr(morphisms, "_extend", counting)
+    monkeypatch.setattr(morphisms, "_extend", search)
     return calls
 
 
@@ -240,7 +239,8 @@ def test_search_loop_matches_recursive_reference(corpus5):
                 order = morphisms._top_down(B)
                 for u in morphisms._generated_upsets(B, len(B), math.inf):
                     args = (B, A, [i for i in order if u >> i & 1])
-                    got = [tuple(a) for a in morphisms._extend(*args, [-1] * len(B), 0, 0)]
+                    search = morphisms._extend(*args, [-1] * len(B), None, [math.inf])
+                    got = [tuple(a) for a in search]
                     want = [tuple(a) for a in reference.extend(*args, [-1] * len(B), 0, 0)]
                     assert got == want, (A.up, B.up, u)
                     runs, found = runs + 1, found + len(got)
@@ -368,7 +368,7 @@ def test_countdown_leaves_minus_one_or_what_is_unspent(monkeypatch):
         # the nodes a run visits up to its first yield or its end, and what it found
         nodes, budget = [0], [b]
         assign = _CountingAssign([-1] * len(run[0]), nodes)
-        search = morphisms._extend(*run, assign, 0, 0, None, budget)
+        search = morphisms._extend(*run, assign, None, budget)
         found = next(search, None)
         found = found and tuple(found)
         search.close()
@@ -427,7 +427,7 @@ def test_search_with_symmetry_keeps_the_plain_verdict(corpus5):
 def test_countdown_is_read_again_after_each_yield(c3, c2):
     # C3 maps onto C2 twice in five nodes; the first yield comes at the third
     budget = [10]
-    search = morphisms._extend(c3, c2, morphisms._top_down(c3), [-1] * 3, 0, 0, None, budget)
+    search = morphisms._extend(c3, c2, morphisms._top_down(c3), [-1] * 3, None, budget)
     assert tuple(next(search)) == (0, 0, 1) and budget == [7]
     budget[0] = 0
     assert next(search, None) is None and budget == [-1]
@@ -439,7 +439,7 @@ def test_alpha_reduction_on_chain(c2):
     assert ("alpha", "r", "m") in reds
     Q, f = apply_reduction(c2, "alpha", "r", "m")
     assert len(Q) == 1
-    assert validate_p_morphism(f) and f.is_surjective
+    assert p_morphism_violation(f) is None and f.is_surjective
 
 
 def test_beta_reduction_on_antichain(a2):
@@ -447,13 +447,13 @@ def test_beta_reduction_on_antichain(a2):
     assert ("beta", "u", "v") in reds and ("beta", "v", "u") in reds
     Q, f = apply_reduction(a2, "beta", "u", "v")
     assert len(Q) == 1
-    assert validate_p_morphism(f)
+    assert p_morphism_violation(f) is None
 
 
 def test_beta_reduction_on_fork(fork):
     Q, f = apply_reduction(fork, "beta", "a", "b")
     assert len(Q) == 2
-    assert validate_p_morphism(f) and f.is_surjective
+    assert p_morphism_violation(f) is None and f.is_surjective
     # the image is a 2-chain
     assert sorted(len(list(filter(None, (Q.up[i] >> j & 1 for j in range(2))))) for i in range(2)) == [1, 2]
 
@@ -493,12 +493,12 @@ def test_strong_regularization_fixtures(p1, c2, diamond):
     star, f = strong_regularization(c2)
     assert len(star) == 3
     assert is_strongly_regular(star)
-    assert validate_p_morphism(f) and f.is_surjective
+    assert p_morphism_violation(f) is None and f.is_surjective
 
     star, f = strong_regularization(diamond)
     assert len(star) == 7
     assert is_strongly_regular(star)
-    assert validate_p_morphism(f) and f.is_surjective
+    assert p_morphism_violation(f) is None and f.is_surjective
 
 
 def test_starred_ladder_matches_double_rail():
@@ -524,4 +524,4 @@ def test_double_rail_collapses_onto_plain():
             assignment[f"c{i}"] = "a0"
             assignment[f"d{i}"] = "b0"
         f = PMorphism.from_dict(double, plain, assignment)
-        assert validate_p_morphism(f) and f.is_surjective
+        assert p_morphism_violation(f) is None and f.is_surjective

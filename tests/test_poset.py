@@ -9,10 +9,8 @@ from esakialab.poset_core import (
     OrderConstructionError,
     UnknownPointError,
     depth_width,
-    downset_closure,
     maximal_of,
     point_depths,
-    upset_closure,
 )
 from esakialab.poset_core.poset import collapse
 
@@ -131,17 +129,17 @@ def test_immediate_successors(diamond):
 
 def test_closures_on_fixture(diamond):
     a = 1 << diamond.index("a")
-    up = upset_closure(diamond, a)
+    up = diamond.up_mask_of(a)
     assert up == a | (1 << diamond.index("t"))
-    down = downset_closure(diamond, a)
+    down = diamond.down_mask_of(a)
     assert down == a | (1 << diamond.index("o"))
     assert maximal_of(diamond, diamond.full_mask) == diamond.maximal_mask
 
 
 def test_closures_reject_bits_beyond_the_poset(fork):
-    for closure in (upset_closure, downset_closure, maximal_of):
+    for closure in (fork.up_mask_of, fork.down_mask_of, lambda m: maximal_of(fork, m)):
         with pytest.raises(UnknownPointError, match="bits beyond the poset"):
-            closure(fork, 1 << len(fork))
+            closure(1 << len(fork))
 
 
 def test_point_depths_and_shape(c3, diamond):
@@ -220,9 +218,9 @@ def test_upset_closure_is_a_closure_operator(seed):
     P = random_poset(seed)
     rnd = random.Random(seed + 1)
     mask = rnd.randrange(1 << len(P))
-    up = upset_closure(P, mask)
+    up = P.up_mask_of(mask)
     assert up & mask == mask
-    assert upset_closure(P, up) == up
+    assert P.up_mask_of(up) == up
     assert P.is_upset(up)
 
 
@@ -232,10 +230,10 @@ def test_upset_downset_duality(seed):
     rnd = random.Random(seed + 2)
     mask = rnd.randrange(1 << len(P))
     # complement of a downset is an upset and vice versa
-    down = downset_closure(P, mask)
+    down = P.down_mask_of(mask)
     assert P.is_upset(P.full_mask & ~down)
-    up = upset_closure(P, mask)
-    assert downset_closure(P, P.full_mask & ~up) == P.full_mask & ~up
+    up = P.up_mask_of(mask)
+    assert P.down_mask_of(P.full_mask & ~up) == P.full_mask & ~up
 
 
 @given(st.integers(0, 2000))

@@ -311,8 +311,8 @@ def test_generated_pullback_matches_the_member_sets(corpus5):
             if len(T) > len(S):
                 continue
             for f in iter_surjective_p_morphisms(S, T):
-                want = reference.generated_pullback_equal(f, members[S], members[T])
-                assert morphism_regularity_report(f).generated_pullback_equal == want, f
+                want = reference.pulls_back_onto(f, members[S], members[T])
+                assert morphism_regularity_report(f).preserves_polynomials == want, f
                 verdicts[want] += 1
     assert verdicts[True] and verdicts[False]
     assert sum(verdicts.values()) == 2766
