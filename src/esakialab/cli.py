@@ -3,14 +3,16 @@
 Every subcommand is pure: the same inputs produce byte-identical stdout,
 written once at the end of the run. Exit codes: 0 on success, 1 when a
 checked property fails (an invalid formula, an oracle disagreement, a
-broken antichain), 2 on usage errors, on a sweep past the guard and on
-a tensor formula over an algebra where the tensor is undefined.
+broken antichain), 2 on usage errors, on a sweep past the guard, on
+a tensor formula over an algebra where the tensor is undefined and on
+an output that cannot be written.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .budget import SweepGuardError
@@ -55,6 +57,8 @@ def _load_poset(path: str) -> FinitePoset:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError:
+        raise UsageError(f"{path} is not UTF-8 text") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -65,7 +69,7 @@ def _load_poset(path: str) -> FinitePoset:
         obj = obj["base"]
     try:
         return FinitePoset._from_obj(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{path} does not describe a poset: {exc}") from exc
 
 
@@ -332,7 +336,14 @@ def run(argv: list[str] | None = None) -> int:
     except PropertyFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(text + "\n")
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # a closed pipe or a full disk: the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 2
     return code
 
 

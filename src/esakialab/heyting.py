@@ -15,72 +15,51 @@ from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .budget import charge, sweep_limit
-from .logic import Symmetry, is_dna_valid, is_valid, ml_proxy_formulas
+from .logic import is_dna_valid, is_valid, ml_proxy_formulas
 from .poset_core import FinitePoset, is_leq, list_automorphisms  # is_leq: re-exported
-from .poset_core.poset import _bits
+from .poset_core.morphisms import Symmetry
 
 # imp reads downsets a byte of the mask at a time
 _TABLE_BITS = 8
 _TABLE_MASK = (1 << _TABLE_BITS) - 1
+# byte b with its 8 bits in reverse order
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class TensorUndefinedError(RuntimeError):
     """Tensor was requested on an algebra outside its precondition."""
 
 
-class FiniteHeytingAlgebra:
-    """The algebra of all upsets of a finite poset.
+class UpsetView:
+    """The upset algebra of the subposet on an upset ``top`` of a base poset,
+    read from the base's own masks and downset tables.
 
-    meet/join are intersection/union; u -> v is the complement of the
-    downset of u minus v. Elements are listed in the canonical order of
-    ``FinitePoset.upsets()``.
+    u -> u & top is a surjective Heyting homomorphism from the base's algebra
+    onto this one, so its elements are the base's upsets inside top, meet and
+    join are & and |, and u -> v is top minus the downset of u minus v, read
+    from the base's tables: the downset of a set inside top, taken inside
+    top, is its downset in the base cut to top.
+
+    ``regulars`` is the Boolean core, listed on first read: neg V depends
+    only on the maximal points in V, so the regulars are neg m for the sets
+    m of maximal points inside top, the finite case of
+    neg neg V = {y | M(y) inside V}. They are kept in the canonical order
+    of the subposet's algebra, which keeps the points in index order: by
+    size, then the set holding the least point where two differ first.
+
+    A view has no tensor and no ``domain_symmetry``: both would have to be
+    read from the upset itself, and the base's automorphisms are not the
+    upset's. ``FiniteHeytingAlgebra`` is the view on the whole base.
     """
 
-    __slots__ = (
-        "base",
-        "elements",
-        "top",
-        "_index",
-        "_down_tables",
-        "_components",
-        "_regulars",
-        "_regular_closure",
-        "_tensor_ok",
-        "_splits",
-        "_symmetries",
-        "__weakref__",
-    )
+    __slots__ = ("base", "top", "_down_tables", "_regulars")
+    bot = 0
 
-    def __init__(self, base: FinitePoset):
+    def __init__(self, base: FinitePoset, top: int, tables: tuple[list[int], ...]):
         self.base = base
-        self.elements: tuple[int, ...] = tuple(base.upsets())
-        self.top: int = base.full_mask
-        self._index = {u: i for i, u in enumerate(self.elements)}
-        self._down_tables = _byte_tables(base.down)
-        self._components: tuple[FiniteHeytingAlgebra, ...] | None = None
+        self.top = top
+        self._down_tables = tables
         self._regulars: tuple[int, ...] | None = None
-        self._regular_closure: tuple[tuple[int, ...], ...] | None = None
-        self._tensor_ok: bool | None = None
-        self._splits: tuple | None = None
-        self._symmetries: dict[bool, tuple] = {}
-
-    # -- lattice structure --
-
-    @property
-    def bot(self) -> int:
-        return 0
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __repr__(self) -> str:
-        return f"FiniteHeytingAlgebra(base={self.base.name or self.base.points}, size={len(self.elements)})"
-
-    def index(self, u: int) -> int:
-        try:
-            return self._index[u]
-        except KeyError:
-            raise ValueError(f"mask {u:#x} is not an upset of the base poset") from None
 
     def leq(self, u: int, v: int) -> bool:
         return u & ~v == 0
@@ -103,27 +82,66 @@ class FiniteHeytingAlgebra:
     def neg(self, u: int) -> int:
         return self.imp(u, 0)
 
+    def core_join(self, u: int, v: int) -> int:
+        return self.neg(self.meet(self.neg(u), self.neg(v)))
+
     @property
     def regulars(self) -> tuple[int, ...]:
         if self._regulars is None:
-            self._regulars = tuple(
-                u for u in self.elements if self.neg(self.neg(u)) == u
-            )
+            top, width = self.top, (self.top.bit_length() + 7) // 8
+            # top ^ u with each byte's bits reversed: at one size, the set
+            # holding the lowest point where two differ sorts first
+            self._regulars = tuple(sorted(
+                map(self.neg, _submasks(top & self.base.maximal_mask)),
+                key=lambda u: (u.bit_count(), (top ^ u).to_bytes(width, "little").translate(_REVERSED_BITS)),
+            ))
         return self._regulars
+
+    def tensor_op(self, u: int, v: int) -> int:
+        raise TensorUndefinedError("an upset view has no tensor: build the upset's own algebra")
+
+
+class FiniteHeytingAlgebra(UpsetView):
+    """The algebra of all upsets of a finite poset: the view on the whole
+    base, with its elements listed in the canonical order of
+    ``FinitePoset.upsets()``.
+    """
+
+    __slots__ = ("elements", "_index", "_components", "_regular_closure", "_tensor_ok", "_splits",
+                 "_symmetries", "__weakref__")
+
+    def __init__(self, base: FinitePoset):
+        super().__init__(base, base.full_mask, _byte_tables(base.down))
+        self.elements: tuple[int, ...] = tuple(base.upsets())
+        self._index = {u: i for i, u in enumerate(self.elements)}
+        self._components: tuple[FiniteHeytingAlgebra, ...] | None = None
+        self._regular_closure: tuple[tuple[int, ...], ...] | None = None
+        self._tensor_ok: bool | None = None
+        self._splits: tuple | None = None
+        self._symmetries: dict[bool, tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __repr__(self) -> str:
+        return f"FiniteHeytingAlgebra(base={self.base.name or self.base.points}, size={len(self.elements)})"
+
+    def index(self, u: int) -> int:
+        try:
+            return self._index[u]
+        except KeyError:
+            raise ValueError(f"mask {u:#x} is not an upset of the base poset") from None
 
     @property
     def regular_closure(self) -> tuple[tuple[int, ...], ...]:
         """``close_under(self, self.regulars)``, computed once per algebra:
         the least elements holding each point, level by level. Like
-        ``regulars`` and ``tensor_defined``, only the first read runs the
-        closure and pays its ESAKIA_MAX_SWEEP charge; a read the budget
-        refuses caches nothing."""
+        ``tensor_defined``, only the first read runs the closure and pays
+        its ESAKIA_MAX_SWEEP charge; a read the budget refuses caches
+        nothing."""
         if self._regular_closure is None:
             self._regular_closure = close_under(self, self.regulars)
         return self._regular_closure
-
-    def core_join(self, u: int, v: int) -> int:
-        return self.neg(self.meet(self.neg(u), self.neg(v)))
 
     def element_label(self, u: int) -> str:
         names = [self.base.points[i] for i in range(len(self.base)) if u >> i & 1]
@@ -214,62 +232,21 @@ def _through(tables: tuple[list[int], ...], mask: int) -> int:
     return out
 
 
-class UpsetView:
-    """The upset algebra of the subposet on an upset ``top`` of a base poset,
-    read from the base's own masks and downset tables.
-
-    u -> u & top is a surjective Heyting homomorphism from the base's algebra
-    onto this one, so its elements are the base's upsets inside top, meet and
-    join are & and |, and imp is ``FiniteHeytingAlgebra.imp`` over the base's
-    tables: the downset of a set inside top, taken inside top, is its downset
-    in the base cut to top. ``principal_upset_views`` builds the regulars.
-
-    A view has no tensor and no ``domain_symmetry``: both would have to be
-    read from the upset itself, and the base's automorphisms are not the
-    upset's.
-    """
-
-    __slots__ = ("top", "regulars", "_down_tables")
-    bot = 0
-    imp = FiniteHeytingAlgebra.imp
-
-    def __init__(self, top: int, regulars: tuple[int, ...], tables: tuple[list[int], ...]):
-        self.top = top
-        self.regulars = regulars
-        self._down_tables = tables
-
-    def tensor_op(self, u: int, v: int) -> int:
-        raise TensorUndefinedError("an upset view has no tensor: build the upset's own algebra")
-
-
 def principal_upset_views(P: FinitePoset, force: bool = False) -> Iterator[UpsetView]:
     """An ``UpsetView`` of each distinct principal upset of P, in point order,
     all reading one set of P's downset tables.
 
-    The regulars of the view on U are the hulls {y in U | M(y) inside A} for
-    A inside M(P) & U, the finite case of neg neg V = {y | M(y) inside V};
-    the hulls are shared by the views. They are listed in the canonical
-    order of the induced subposet's algebra, which keeps the points in index
-    order: by size, then by the points in increasing order.
-
-    A root below k maximal points has 2^k hulls, each a pass over P's
-    points: |P| x 2^k steps, charged before the root's listing unless force
-    is set.
+    A root below k maximal points has 2^k regulars, which its view lists
+    through P's tables on their first read: |P| x 2^k steps, charged before
+    the view is yielded unless force is set.
     """
     n, limit = len(P), math.inf if force else sweep_limit()
-    tables, hulls = _byte_tables(P.down), {}
+    tables = _byte_tables(P.down)
     for top in dict.fromkeys(P.up):
-        maxima = top & P.maximal_mask
-        k = maxima.bit_count()
+        k = (top & P.maximal_mask).bit_count()
         if n << k > limit:
             charge("principal_upset_views", f"|P| x a root's hulls = {n} x 2^{k}", n << k, "steps")
-        regulars = []
-        for a in _submasks(maxima):
-            if a not in hulls:
-                hulls[a] = P.m_hull(a)
-            regulars.append(hulls[a] & top)
-        regulars.sort(key=lambda u: (u.bit_count(), tuple(_bits(u))))
-        yield UpsetView(top, tuple(regulars), tables)
+        yield UpsetView(P, top, tables)
 
 
 def dual_algebra(P: FinitePoset) -> FiniteHeytingAlgebra:

@@ -217,11 +217,11 @@ def jankov_refutation_check(
     runs once per distinct principal upset with the point as root.  Each
     root's algebra is a ``heyting.UpsetView`` on Bpos's own masks: its imp
     reads Bpos's downset tables, built once per call, and its regulars are
-    the hulls of the maximal points above the root; no subposet or algebra
-    is built per root.  The sweep passes no automorphisms: those a view
-    could list are Bpos's, not the upset's, and listing each upset's own
-    cost more than the orbit sweep saved on the classes of at most 6
-    points.  The result is cross-checked against the order-theoretic route
+    neg m for the sets m of maximal points above the root, read through
+    that imp; no subposet or algebra is built per root.  The sweep passes
+    no automorphisms: those a view could list are Bpos's, not the upset's,
+    and listing each upset's own cost more than the orbit sweep saved on
+    the classes of at most 6 points.  The result is cross-checked against the order-theoretic route
     (an upset of Bpos mapping onto the source's dual); divergence would
     falsify the characteristic-formula theorem, so it is raised, not
     returned.  The cross-check is ``is_leq``, budget and all; forced, it

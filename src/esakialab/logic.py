@@ -376,25 +376,6 @@ def eval_algebra(H, mu, f: Formula) -> int:
     return values[prog.roots[0]]
 
 
-class Symmetry:
-    """Permutations of a sweep's domain, each a tuple of domain indices, as
-    bit tables over their list: per domain value v, bit j of fixes[v] is
-    set iff permutation j fixes v, and of lowers[v] iff it sends v to an
-    earlier place in the domain. every has a bit per permutation."""
-
-    __slots__ = ("fixes", "lowers", "every")
-
-    def __init__(self, domain: Sequence[int], perms: Sequence[Sequence[int]]):
-        self.fixes, self.lowers = dict.fromkeys(domain, 0), dict.fromkeys(domain, 0)
-        self.every = (1 << len(perms)) - 1
-        for j, g in enumerate(perms):
-            for v, w in enumerate(g):
-                if w == v:
-                    self.fixes[domain[v]] |= 1 << j
-                elif w < v:
-                    self.lowers[domain[v]] |= 1 << j
-
-
 def refutes(H, domain: Sequence[int], plan, budget: list, symmetry: Symmetry | None = None) -> bool:
     """True iff some valuation of plan's atoms over domain makes each of its
     equations hold and keeps its target below top.
@@ -409,10 +390,11 @@ def refutes(H, domain: Sequence[int], plan, budget: list, symmetry: Symmetry | N
     whole search stops and answers False with budget[0] at exactly -1, so
     a caller that finds budget[0] < 0 knows it reached no verdict.
 
-    symmetry lists automorphisms of H as permutations of domain; the search
-    then tries one valuation per orbit. An automorphism commutes with every
-    connective and fixes top, so it maps a valuation that meets the
-    equations and refutes the target to another one.
+    symmetry, a ``poset_core.morphisms.Symmetry``, lists automorphisms of H
+    as permutations of domain; the search then tries one valuation per
+    orbit. An automorphism commutes with every connective and fixes top,
+    so it maps a valuation that meets the equations and refutes the target
+    to another one.
     """
     size, atom_node, steps, _, (at, target) = plan
     values = [0] * size

@@ -2,10 +2,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ..budget import charge, sweep_limit
-from ..logic import Symmetry
 from .poset import FinitePoset, UnknownPointError, _bits, _renumbered, _top_down, collapse
 
 
@@ -154,7 +153,7 @@ def _leq_search(
     """``is_leq``'s search over one countdown of ``limit`` points assigned:
     its verdict, or None once the countdown is spent. ``upsets`` are those
     ``_upsets_to_try`` lists, under ``limit`` when not given. ``symmetry``,
-    a ``logic.Symmetry`` of automorphisms of Apos over its point indices,
+    a ``Symmetry`` of automorphisms of Apos over its point indices,
     prunes each upset's search to one candidate per orbit (see ``_extend``);
     without it this is the plain search."""
     if upsets is None:
@@ -237,7 +236,7 @@ def _extend(
     int, written back to ``budget[0]`` before each yield and return and
     read again after each yield.
 
-    ``symmetry``, when given, is a ``logic.Symmetry`` of automorphisms of
+    ``symmetry``, when given, is a ``Symmetry`` of automorphisms of
     Q over its point indices, and the search then only decides whether a
     surjection exists. Each stack entry keeps its position's ``stab``, the
     listed maps that fix every image so far, and a node drops a candidate
@@ -301,6 +300,25 @@ def _extend(
             if stab:
                 stab &= fixes[q]
             break
+
+
+class Symmetry:
+    """Permutations of a sweep's domain, each a tuple of domain indices, as
+    bit tables over their list: per domain value v, bit j of fixes[v] is
+    set iff permutation j fixes v, and of lowers[v] iff it sends v to an
+    earlier place in the domain. every has a bit per permutation."""
+
+    __slots__ = ("fixes", "lowers", "every")
+
+    def __init__(self, domain: Sequence[int], perms: Sequence[Sequence[int]]):
+        self.fixes, self.lowers = dict.fromkeys(domain, 0), dict.fromkeys(domain, 0)
+        self.every = (1 << len(perms)) - 1
+        for j, g in enumerate(perms):
+            for v, w in enumerate(g):
+                if w == v:
+                    self.fixes[domain[v]] |= 1 << j
+                elif w < v:
+                    self.lowers[domain[v]] |= 1 << j
 
 
 def list_automorphisms(

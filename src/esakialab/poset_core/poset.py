@@ -307,7 +307,13 @@ class FinitePoset:
 
     @classmethod
     def _from_obj(cls, obj) -> "FinitePoset":
-        """The poset an already decoded ``from_json`` object describes."""
+        """The poset an already decoded ``from_json`` object describes; a
+        ValueError naming the field for any other shape."""
+        if not isinstance(obj, dict):
+            raise ValueError("a poset file is a JSON object")
+        for key in ("points", "leq"):
+            if key not in obj:
+                raise ValueError(f"missing key {key!r}")
         points, leq, name = obj["points"], obj["leq"], obj.get("name", "")
         if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
             raise ValueError("points must be a list of strings")
@@ -318,7 +324,10 @@ class FinitePoset:
             raise ValueError("each leq entry must be a list of two strings")
         if not isinstance(name, str):
             raise ValueError("name must be a string")
-        return cls(points, [tuple(p) for p in leq], name=name or None)
+        try:
+            return cls(points, [tuple(p) for p in leq], name=name or None)
+        except UnknownPointError as exc:
+            raise ValueError(f"leq names an unknown point {exc.args[0]!r}") from None
 
     def to_dot(self) -> str:
         # one edge per cover, drawn upward

@@ -5,7 +5,8 @@ checks every subteam of the team, a tensor every way of writing the team
 as a union of two subteams. Algebra values recurse through the algebra's
 own operations, and validity sweeps every valuation through them.
 Join-irreducibles are found by sweeping primality over every pair of
-elements. The tensor joins the core joins of all regular pairs below its
+elements, and the regular elements by testing neg neg u = u on every
+element. The tensor joins the core joins of all regular pairs below its
 arguments. Surjective p-morphisms are found by sweeping every point map
 and validating each; the backtracking search itself also runs as a
 recursive generator, one call per node. Divisibility runs the search
@@ -156,6 +157,11 @@ def tensor(H, u: int, v: int) -> int:
                 continue
             got |= H.core_join(a, b)
     return got
+
+
+def regulars(H) -> tuple[int, ...]:
+    """The fixed points of neg neg among H's elements, in canonical order."""
+    return tuple(u for u in H.elements if H.neg(H.neg(u)) == u)
 
 
 def join_irreducibles(H) -> list[int]:

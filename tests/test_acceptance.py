@@ -109,7 +109,7 @@ def test_criterion_02_regular_upsets_and_core_iso():
     posets = posets_up_to(6)
     for P in posets:
         H = dual_algebra(P)
-        route_negation = sorted(H.regulars)
+        route_negation = sorted(reference.regulars(H))
         route_topological = sorted(regular_upsets(P))
         hulls = set()
         maximal = P.maximal_mask

@@ -467,6 +467,22 @@ def test_file_errors(capsys, tmp_path, written):
             code, out, err = invoke(capsys, cmd, str(shape))
             assert (code, out) == (2, ""), text
             assert err.startswith("error:") and err.count("\n") == 1, text
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe")
+    assert invoke(capsys, "dual", str(binary)) == (2, "", f"error: {binary} is not UTF-8 text\n")
+
+
+def test_shape_errors_name_the_field(capsys, tmp_path):
+    shape = tmp_path / "shape.json"
+    for text, says in (
+        ("[1, 2]", "a poset file is a JSON object"),
+        ("null", "a poset file is a JSON object"),
+        ('{"points": ["a"]}', "missing key 'leq'"),
+        ('{"points": ["a"], "leq": [["a", "z"]]}', "leq names an unknown point 'z'"),
+    ):
+        shape.write_text(text, encoding="utf-8")
+        code, out, err = invoke(capsys, "dual", str(shape))
+        assert (code, out, err) == (2, "", f"error: {shape} does not describe a poset: {says}\n")
 
 
 def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, written):
@@ -555,16 +571,39 @@ def test_a_reused_parser_answers_as_a_fresh_one(capsys, written):
     assert reused[12][0] == 0 and json.loads(reused[12][1])["name"] == "R0@2"
 
 
-def test_python_dash_m_matches_run(capsys, written):
-    expected = invoke(capsys, "dual", written["V"])
+def python_dash_m(argv, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m esakialab argv`` in a child reading this checkout's source."""
     src = os.path.dirname(os.path.dirname(esakialab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-m", "esakialab", "dual", written["V"]],
-        capture_output=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, "-m", "esakialab", *argv], env=env, timeout=60, **kwargs)
+
+
+def test_python_dash_m_matches_run(capsys, written):
+    expected = invoke(capsys, "dual", written["V"])
+    done = python_dash_m(["dual", written["V"]], capture_output=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, expected[1].encode(), b"")
+
+
+def test_a_closed_stdout_is_one_error_line(written):
+    # the pipe's read end is closed before the child starts, so its one
+    # write fails with EPIPE, and the flush at exit must not raise again
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = python_dash_m(["dot", written["V"]], stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr == b"error: cannot write output: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_device_is_one_error_line(written):
+    with open("/dev/full", "wb") as full:
+        done = python_dash_m(["dual", written["V"]], stdout=full, stderr=subprocess.PIPE)
+    assert done.returncode == 2
+    assert done.stderr == b"error: cannot write output: No space left on device\n"
 
 
 # -- the exit-code contract on random input ------------------------------------
@@ -591,13 +630,22 @@ TOKENS = LEAVES + BINARY + ("~", "(", ")")
 COMMANDS = ("validate", "jankov", "check-regular", "quotient", "leq", "antichain", "dual", "dot", "gen")
 
 
-def random_poset_text(rnd) -> str:
-    if rnd.random() < 0.1:
-        return rnd.choice(BAD_POSETS)
+# JSON values that are no poset object, or an object without one of its keys
+ODD_VALUES = ([1, 2], None, 3, "points", True, {}, {"points": []}, {"leq": []}, {"base": None, "elements": []})
+
+
+def random_poset_bytes(rnd) -> bytes:
+    roll = rnd.random()
+    if roll < 0.05:
+        return rnd.randbytes(rnd.randint(0, 8))
+    if roll < 0.1:
+        return json.dumps(rnd.choice(ODD_VALUES)).encode()
+    if roll < 0.2:
+        return rnd.choice(BAD_POSETS).encode()
     points = list(POINTS[: rnd.randint(0, len(POINTS))])
     # sorted pairs only go label-upward, so the relation is acyclic
     pairs = [sorted(rnd.choices(points, k=2)) for _ in range(rnd.randint(0, 5))] if points else []
-    return json.dumps({"name": rnd.choice(["", "P"]), "points": points, "leq": pairs})
+    return json.dumps({"name": rnd.choice(["", "P"]), "points": points, "leq": pairs}).encode()
 
 
 def random_formula_text(rnd, size: int = 7) -> str:
@@ -654,7 +702,7 @@ def test_exit_codes_on_random_input(tmp_path, seed):
     paths = {}
     for key in "AB":
         path = tmp_path / f"{key}.json"
-        path.write_text(random_poset_text(rnd), encoding="utf-8")
+        path.write_bytes(random_poset_bytes(rnd))
         paths[key] = str(path)
     argv = [paths.get(arg, arg) for arg in random_argv(rnd)]
     out, err = io.StringIO(), io.StringIO()

@@ -8,7 +8,7 @@ from esakialab import cli, heyting, jankov
 from esakialab.budget import SweepGuardError
 from esakialab.heyting import is_leq
 from esakialab.jankov import antichain_verify
-from esakialab.logic import Symmetry
+from esakialab.poset_core.morphisms import Symmetry
 from esakialab.poset_core import (
     FinitePoset,
     PMorphism,

@@ -233,6 +233,18 @@ def test_join_irreducibles_match_primality_sweep(corpus7):
     assert len(corpus7) == 2450
 
 
+def test_regulars_match_the_double_negation_sweep(corpus7):
+    # in order: jankov --json lists its atom map in the order of H.regulars;
+    # M4, R2@5 and M5 have 15, 18 and 31 points, so masks of 2 to 4 bytes
+    named = [make_medvedev(n) for n in (2, 3, 4, 5)]
+    named += [make_delta0(n) for n in (1, 2, 3)] + [make_delta1(n) for n in (3, 4, 5)]
+    named += [make_ladder("R1", 8), make_ladder("R2", 3), make_ladder("R2", 5)]
+    for P in corpus7 + named:
+        H = dual_algebra(P)
+        assert H.regulars == reference.regulars(H), P
+    assert len(corpus7) == 2450
+
+
 def test_join_irreducibles_of_full_upset_algebras_are_the_principal_upsets():
     # beyond the reach of the O(|H|^3) primality sweep
     for P in (make_ladder("R2", 5), make_ladder("R2", 6), make_medvedev(5)):
