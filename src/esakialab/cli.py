@@ -65,12 +65,13 @@ def _load_poset(path: str) -> FinitePoset:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise UsageError(f"{path} nests too deeply to decode") from None
+    field = ""
     if isinstance(obj, dict) and "base" in obj and "elements" in obj:
-        obj = obj["base"]
+        obj, field = obj["base"], "base: "
     try:
         return FinitePoset._from_obj(obj)
     except ValueError as exc:
-        raise UsageError(f"{path} does not describe a poset: {exc}") from exc
+        raise UsageError(f"{path} does not describe a poset: {field}{exc}") from exc
 
 
 def _dumps(obj) -> str:

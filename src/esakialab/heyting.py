@@ -305,10 +305,16 @@ def dual_poset(H: FiniteHeytingAlgebra) -> FinitePoset:
 
 
 def _prime_filter_poset(H: FiniteHeytingAlgebra, gens: list[int]) -> FinitePoset:
-    """dual_poset(H) over the join-irreducibles ``gens`` of H."""
-    up = [_filters_containing(gens, a) for a in gens]
+    """dual_poset(H) over the join-irreducibles ``gens`` of H: f_i <= f_j iff
+    gens[j] <= gens[i], a partial order since the gens are distinct sets."""
+    up, down = [0] * len(gens), [0] * len(gens)
+    for i, a in enumerate(gens):
+        for j, b in enumerate(gens):
+            if b & ~a == 0:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
     name = f"pf({H.base.name})" if H.base.name else None
-    return FinitePoset._from_rows([f"f{H.index(a)}" for a in gens], up, name)
+    return FinitePoset._from_closed([f"f{H.index(a)}" for a in gens], up, down, name)
 
 
 def _filters_containing(gens: list[int], u: int) -> int:

@@ -3,7 +3,14 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from ..budget import charge
 from .poset import FinitePoset
+
+
+def _charge_closure(layer: str, size: int) -> None:
+    """Refuse a frame of ``size`` points whose closure, |P|^2 row steps, is
+    past the budget, before any of its pairs is listed."""
+    charge(layer, f"|P|^2 = {size}^2", size * size, "row steps")
 
 
 def make_medvedev(n: int) -> FinitePoset:
@@ -36,6 +43,7 @@ def make_delta0(n: int) -> FinitePoset:
     """
     if n < 0:
         raise ValueError("layer count must be nonnegative")
+    _charge_closure("make_delta0", 3 * (n + 1) + 1)
     points = ["r"]
     for i in range(n + 1):
         points += [f"a{i}", f"b{i}", f"c{i}"]
@@ -63,6 +71,7 @@ def make_delta1(n: int) -> FinitePoset:
     """
     if n < 3:
         raise ValueError(f"family is defined for n >= 3, got {n}")
+    _charge_closure("make_delta1", 2 * (n + 1) + 1)
     points = ["r"] + [f"a{i}" for i in range(n + 1)] + [f"b{j}" for j in range(n + 1)]
     pairs = []
     for i in range(n + 1):
@@ -100,20 +109,20 @@ def make_ladder(kind: str, levels: int) -> FinitePoset:
     """
     if levels < 1:
         raise ValueError("levels must be at least 1")
+    # the points each kind adds to the two rails
+    extra = {"R0": 0, "R1": int(levels >= 2), "R2": 2 * (levels - 1)}
+    if kind not in extra:
+        raise ValueError(f"unknown ladder kind {kind!r}")
+    _charge_closure("make_ladder", 2 * levels + extra[kind])
     points = []
     for i in range(levels):
         points += [f"a{i}", f"b{i}"]
     pairs = _ladder_covers(levels)
-    if kind == "R0":
-        pass
-    elif kind == "R1":
-        if levels >= 2:
-            points.append("c0")
-            pairs += [("a1", "c0"), ("b1", "c0")]
+    if kind == "R1" and levels >= 2:
+        points.append("c0")
+        pairs += [("a1", "c0"), ("b1", "c0")]
     elif kind == "R2":
         for i in range(levels - 1):
             points += [f"c{i}", f"d{i}"]
             pairs += [(f"a{i + 1}", f"c{i}"), (f"b{i + 1}", f"d{i}")]
-    else:
-        raise ValueError(f"unknown ladder kind {kind!r}")
     return FinitePoset(points, pairs, name=f"{kind}@{levels}")

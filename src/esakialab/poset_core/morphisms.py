@@ -422,18 +422,25 @@ def strong_regularization(P: FinitePoset) -> tuple[FinitePoset, PMorphism]:
     base. P* always has pairwise distinct maximal-point traces.
     """
     existing = set(P.points)
-    points, up, mapping = list(P.points), list(P.up), list(range(len(P.points)))
+    points, up, down = list(P.points), list(P.up), list(P.down)
+    mapping = list(range(len(P.points)))
     for i, p in enumerate(P.points):
         if P.up[i] != 1 << i:
-            star = p + "*"
-            while star in existing:
-                star += "*"
-            existing.add(star)
-            up[i] |= 1 << len(points)  # the star; closing puts it over all below i
-            points.append(star)
-            up.append(0)
+            label = p + "*"
+            while label in existing:
+                label += "*"
+            existing.add(label)
+            # the star is maximal and lies over exactly the points below i
+            star, rest = 1 << len(points), P.down[i]
+            while rest:
+                low = rest & -rest
+                up[low.bit_length() - 1] |= star
+                rest ^= low
+            points.append(label)
+            up.append(star)
+            down.append(P.down[i] | star)
             mapping.append(next(_bits(P.m_mask(i))))
-    result = FinitePoset._from_rows(points, up, f"{P.name}*" if P.name else None)
+    result = FinitePoset._from_closed(points, up, down, f"{P.name}*" if P.name else None)
     retraction = PMorphism(result, P, tuple(mapping))
     if p_morphism_violation(retraction) is not None:
         raise RuntimeError("star retraction failed validation; this is a bug")

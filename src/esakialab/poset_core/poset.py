@@ -66,9 +66,23 @@ class FinitePoset:
 
     @classmethod
     def _from_rows(cls, points: Sequence[str], up: Sequence[int], name: str | None = None):
-        """The poset with point i below the points of row ``up[i]``, closed as in ``__init__``."""
+        """The poset with point i below the points of row ``up[i]``, closed as in
+        ``__init__``: for rows that come from outside or may hold a cycle (the
+        label pairs, ``from_json``, ``collapse``, unpickling)."""
         P = cls.__new__(cls)
         P._close(points, {p: i for i, p in enumerate(points)}, list(up), name)
+        return P
+
+    @classmethod
+    def _from_closed(
+        cls, points: Sequence[str], up: Sequence[int], down: Sequence[int], name: str | None = None
+    ):
+        """The poset whose rows are already closed: ``up[i]`` holds i and every
+        point above it, ``down`` is its transpose, and the labels are distinct.
+        For derived posets that are partial orders by construction (``induced``,
+        strong regularisation, the prime-filter dual): no closing, no cycle check."""
+        P = cls.__new__(cls)
+        P._fill(tuple(points), {p: i for i, p in enumerate(points)}, tuple(up), tuple(down), name)
         return P
 
     def _close(self, pts: Sequence[str], index: dict[str, int], up: list[int], name: str | None):
@@ -86,21 +100,36 @@ class FinitePoset:
                     up[i] |= row
         down = [0] * n
         for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
+            bit, rest = 1 << i, up[i]
+            while rest:
+                low = rest & -rest
+                down[low.bit_length() - 1] |= bit
+                rest ^= low
         # the least point on a cycle has only larger partners, so the pair
         # named is the one a walk over the up-rows for i < j finds first
-        maximal = 0
         for i in range(n):
             cycle = up[i] & down[i] & ~(1 << i)
             if cycle:
-                j = next(_bits(cycle))
+                j = (cycle & -cycle).bit_length() - 1
                 raise OrderConstructionError(f"cycle between {pts[i]!r} and {pts[j]!r}")
-            if up[i] == 1 << i:
-                maximal |= 1 << i
-        self.points = tuple(pts)
-        self.up = tuple(up)
-        self.down = tuple(down)
+        self._fill(tuple(pts), index, tuple(up), tuple(down), name)
+
+    def _fill(
+        self,
+        pts: tuple[str, ...],
+        index: dict[str, int],
+        up: tuple[int, ...],
+        down: tuple[int, ...],
+        name: str | None,
+    ):
+        """Fill every slot from closed, acyclic rows and their transpose."""
+        maximal = 0
+        for i, row in enumerate(up):
+            if row == 1 << i:
+                maximal |= row
+        self.points = pts
+        self.up = up
+        self.down = down
         self.name = name
         self._index = index
         self._maximal = maximal
@@ -109,7 +138,7 @@ class FinitePoset:
         self._up_index = None
         self._symmetry = None
         # finite posets always have a maximal point above every point
-        assert all(up[i] & maximal for i in range(n))
+        assert all(row & maximal for row in up)
 
     # -- basic queries -------------------------------------------------
 
@@ -280,8 +309,9 @@ class FinitePoset:
         bit = [0] * len(self.points)
         for r, i in enumerate(keep):
             bit[i] = 1 << r
-        rows = _renumbered([self.up[i] & mask for i in keep], bit)
-        return FinitePoset._from_rows([self.points[i] for i in keep], rows)
+        up = _renumbered([self.up[i] & mask for i in keep], bit)
+        down = _renumbered([self.down[i] & mask for i in keep], bit)
+        return FinitePoset._from_closed([self.points[i] for i in keep], up, down)
 
     # -- serialization --------------------------------------------------
 
@@ -366,8 +396,10 @@ def _renumbered(masks: Iterable[int], bit: Sequence[int]) -> list[int]:
     rows = []
     for mask in masks:
         row = 0
-        for j in _bits(mask):
-            row |= bit[j]
+        while mask:
+            low = mask & -mask
+            row |= bit[low.bit_length() - 1]
+            mask ^= low
         rows.append(row)
     return rows
 

@@ -13,7 +13,13 @@ from esakialab.heyting import (
 )
 from esakialab.jankov import jankov_dna_formula, jankov_refutation_check
 from esakialab.logic import is_dna_valid, is_valid, parse
-from esakialab.poset_core import FinitePoset, iter_surjective_p_morphisms
+from esakialab.poset_core import (
+    FinitePoset,
+    iter_surjective_p_morphisms,
+    make_delta0,
+    make_delta1,
+    make_ladder,
+)
 from esakialab.regularity import rank_table
 
 # the one message of every ESAKIA_MAX_SWEEP refusal
@@ -69,6 +75,10 @@ CASES = [
     # C3 maps onto C2 twice in five nodes, one past this budget
     ("iter_surjective_p_morphisms", 4,
      lambda fx: lambda: list(iter_surjective_p_morphisms(fx("c3"), fx("c2")))),
+    # the closure of F1's 7 points, G3's 9 and R2@2's 6, charged before any pair is listed
+    ("make_delta0", 48, lambda fx: lambda: make_delta0(1)),
+    ("make_delta1", 80, lambda fx: lambda: make_delta1(3)),
+    ("make_ladder", 35, lambda fx: lambda: make_ladder("R2", 2)),
 ]
 
 

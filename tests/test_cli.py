@@ -71,6 +71,10 @@ def test_gen_usage_errors(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, _ = invoke(capsys, "gen", "mystery", "3")
     assert code == 2
+    # refused before any of its 27 million label pairs is listed
+    code, out, err = invoke(capsys, "gen", "delta0", "3000")
+    assert (code, out) == (2, "") and one_error_line(out, err)
+    assert err.startswith("error: make_delta0: |P|^2 = 9004^2 = 81072016 row steps, ")
 
 
 def test_dual_summary(capsys, written):
@@ -479,6 +483,9 @@ def test_shape_errors_name_the_field(capsys, tmp_path):
         ("null", "a poset file is a JSON object"),
         ('{"points": ["a"]}', "missing key 'leq'"),
         ('{"points": ["a"], "leq": [["a", "z"]]}', "leq names an unknown point 'z'"),
+        # an algebra file, whose base is read as the poset
+        ('{"base": 3, "elements": []}', "base: a poset file is a JSON object"),
+        ('{"base": {"points": ["a"]}, "elements": []}', "base: missing key 'leq'"),
     ):
         shape.write_text(text, encoding="utf-8")
         code, out, err = invoke(capsys, "dual", str(shape))

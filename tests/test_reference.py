@@ -340,6 +340,11 @@ def _assert_label_constructor_agrees(Q):
 def test_row_built_posets_match_the_label_constructor(corpus7):
     named = [make_medvedev(n) for n in (2, 3, 4)] + [make_delta0(n) for n in (1, 2)]
     named += [make_delta1(n) for n in (3, 4)] + [make_ladder(k, 4) for k in ("R0", "R1", "R2")]
+    # labels that already hold a* and a**, so each star of strong_regularization is renamed
+    named += [
+        FinitePoset(["a", "a*", "a**", "b"], [("a", "a*"), ("a*", "a**"), ("a", "b")], "stars"),
+        FinitePoset(["a**", "a*", "a", "r"], [("a", "a*"), ("a", "a**"), ("r", "a")], "stars"),
+    ]
     reductions = 0
     for P in corpus7 + named:
         H = dual_algebra(P)
@@ -361,7 +366,11 @@ def test_row_built_posets_match_the_label_constructor(corpus7):
         for i, p in enumerate(P.points):
             if P.strict_up(i):
                 least_max = min(j for j in range(len(P)) if P.m_mask(i) >> j & 1)
-                assignment[p + "*"] = P.points[least_max]
+                # p*, with one more * while that label is taken
+                label = p + "*"
+                while label in assignment:
+                    label += "*"
+                assignment[label] = P.points[least_max]
         assert retraction.mapping == PMorphism.from_dict(star, P, assignment).mapping, P
         for mask in P.components() + list(dict.fromkeys(P.up)):
             _assert_label_constructor_agrees(P.induced(mask))
