@@ -18,6 +18,7 @@ from .budget import charge, sweep_limit
 from .logic import is_dna_valid, is_valid, ml_proxy_formulas
 from .poset_core import FinitePoset, is_leq, list_automorphisms  # is_leq: re-exported
 from .poset_core.morphisms import Symmetry
+from .poset_core.poset import _renumbered
 
 # imp reads downsets a byte of the mask at a time
 _TABLE_BITS = 8
@@ -161,9 +162,9 @@ class FiniteHeytingAlgebra(UpsetView):
         as the identity there.
 
         At most ``budget`` search nodes list the automorphisms, and at most
-        budget // |domain| of them are kept, so that the tables cost about
-        as much as the listing. Cached per domain; a larger budget lists
-        again only if the cached listing was cut short."""
+        budget // |domain| of them are kept, so that mapping the domain
+        through them costs about as much as the listing. Cached per domain;
+        a larger budget lists again only if the cached listing was cut short."""
         cached = self._symmetries.get(regular)
         if cached is not None and (cached[1] or cached[0] >= budget):
             return cached[2]
@@ -172,8 +173,7 @@ class FiniteHeytingAlgebra(UpsetView):
         kept = maps[: budget // len(domain)]
         place = {u: i for i, u in enumerate(domain)}
         perms = dict.fromkeys(
-            tuple(place[_through(tables, v)] for v in domain)
-            for tables in (_byte_tables([1 << q for q in m]) for m in kept)
+            tuple(place[v] for v in _renumbered(domain, [1 << q for q in m])) for m in kept
         )
         perms.pop(tuple(range(len(domain))), None)
         symmetry = Symmetry(domain, list(perms)) if perms else None
@@ -221,15 +221,6 @@ def _byte_tables(rows: Sequence[int]) -> tuple[list[int], ...]:
             table += [t | row for t in table]
         tables.append(table)
     return tuple(tables)
-
-
-def _through(tables: tuple[list[int], ...], mask: int) -> int:
-    """The join of the rows of the points of mask, a byte at a time."""
-    out = 0
-    for table in tables:
-        out |= table[mask & _TABLE_MASK]
-        mask >>= _TABLE_BITS
-    return out
 
 
 def principal_upset_views(P: FinitePoset, force: bool = False) -> Iterator[UpsetView]:

@@ -39,10 +39,7 @@ class PMorphism:
         return self.target.points[self.mapping[self.source.index(label)]]
 
     def image_mask(self, source_mask: int) -> int:
-        out = 0
-        for i in _bits(source_mask):
-            out |= 1 << self.mapping[i]
-        return out
+        return _renumbered((source_mask,), [1 << q for q in self.mapping])[0]
 
     def preimage_mask(self, target_mask: int) -> int:
         out = 0

@@ -67,8 +67,8 @@ class FinitePoset:
     @classmethod
     def _from_rows(cls, points: Sequence[str], up: Sequence[int], name: str | None = None):
         """The poset with point i below the points of row ``up[i]``, closed as in
-        ``__init__``: for rows that come from outside or may hold a cycle (the
-        label pairs, ``from_json``, ``collapse``, unpickling)."""
+        ``__init__``: for rows that are open or may hold a cycle (the frame
+        families' cover rows, ``collapse``). Closed rows go to ``_from_closed``."""
         P = cls.__new__(cls)
         P._close(points, {p: i for i, p in enumerate(points)}, list(up), name)
         return P
@@ -80,7 +80,8 @@ class FinitePoset:
         """The poset whose rows are already closed: ``up[i]`` holds i and every
         point above it, ``down`` is its transpose, and the labels are distinct.
         For derived posets that are partial orders by construction (``induced``,
-        strong regularisation, the prime-filter dual): no closing, no cycle check."""
+        strong regularisation, the prime-filter dual) and for copies and
+        unpickling: no closing, no cycle check."""
         P = cls.__new__(cls)
         P._fill(tuple(points), {p: i for i, p in enumerate(points)}, tuple(up), tuple(down), name)
         return P
@@ -157,9 +158,9 @@ class FinitePoset:
         return hash((self.points, self.up))
 
     def __reduce__(self):
-        # copies and pickles rebuild from the rows, without the weak algebra link
-        # or the listed automorphisms
-        return type(self)._from_rows, (self.points, self.up, self.name)
+        # copies and pickles rebuild from the closed rows, without the weak algebra
+        # link or the listed automorphisms
+        return type(self)._from_closed, (self.points, self.up, self.down, self.name)
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -244,18 +245,12 @@ class FinitePoset:
     def up_mask_of(self, mask: int) -> int:
         """Least upward-closed superset of the mask; UnknownPointError for
         a mask with bits beyond the poset."""
-        out = 0
-        for i in _bits(_within(self, mask)):
-            out |= self.up[i]
-        return out
+        return _renumbered((_within(self, mask),), self.up)[0]
 
     def down_mask_of(self, mask: int) -> int:
         """Least downward-closed superset of the mask; UnknownPointError
         for a mask with bits beyond the poset."""
-        out = 0
-        for i in _bits(_within(self, mask)):
-            out |= self.down[i]
-        return out
+        return _renumbered((_within(self, mask),), self.down)[0]
 
     def is_upset(self, mask: int) -> bool:
         return self.up_mask_of(mask) == mask

@@ -28,6 +28,8 @@ monotone pair, then builds each point's image again for the back
 condition. The lexer reads a character at a time, trying each symbol in
 turn, and the parser is recursive precedence climbing, one call per
 nesting level. The normal form recurses once per subformula occurrence.
+The frame families are built from the label pairs of their definitions,
+the fan tower with every pair of layers j < i rather than its covers.
 Automorphisms are every permutation of the points that preserves the
 order both ways. The width matches points by Kuhn's augmenting paths,
 one recursive call per step of a path. All are slow and meant for small
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import and_, or_
 
 from esakialab.logic import (
@@ -54,6 +56,7 @@ from esakialab.logic import (
     atoms,
 )
 from esakialab.poset_core import (
+    FinitePoset,
     OrderConstructionError,
     PMorphism,
     iter_surjective_p_morphisms,
@@ -434,6 +437,83 @@ def _augment(i: int, succ, match_to: list[int], seen: list[bool]) -> bool:
                 match_to[j] = i
                 return True
     return False
+
+
+def medvedev(n: int):
+    """The nonempty subsets of range(n) under reverse inclusion, from label pairs."""
+    subsets = []
+    for size in range(1, n + 1):
+        subsets.extend(combinations(range(n), size))
+    label = {s: "{" + ",".join(str(e) for e in s) + "}" for s in subsets}
+    pairs = []
+    for s in subsets:
+        if len(s) >= 2:
+            for drop in s:
+                t = tuple(e for e in s if e != drop)
+                pairs.append((label[s], label[t]))
+    return FinitePoset([label[s] for s in subsets], pairs, name=f"medvedev{n}")
+
+
+def delta0(n: int):
+    """The fan tower F_n as the paper defines it: for every j < i, a_i under
+    a_j and b_j, b_i under a_j and c_j, c_i under b_j and c_j; the root under all."""
+    points = ["r"]
+    for i in range(n + 1):
+        points += [f"a{i}", f"b{i}", f"c{i}"]
+    pairs = []
+    for i in range(n + 1):
+        for name in ("a", "b", "c"):
+            pairs.append(("r", f"{name}{i}"))
+        for j in range(i):
+            pairs += [
+                (f"a{i}", f"a{j}"),
+                (f"a{i}", f"b{j}"),
+                (f"b{i}", f"a{j}"),
+                (f"b{i}", f"c{j}"),
+                (f"c{i}", f"b{j}"),
+                (f"c{i}", f"c{j}"),
+            ]
+    return FinitePoset(points, pairs, name=f"F{n}")
+
+
+def delta1(n: int):
+    """The transposition tower G_n: a root under every a_i and b_j, and a_i
+    under every b_j but one (a_0 misses b_n, a_n misses b_0, a_i misses b_i)."""
+    points = ["r"] + [f"a{i}" for i in range(n + 1)] + [f"b{j}" for j in range(n + 1)]
+    pairs = []
+    for i in range(n + 1):
+        pairs += [("r", f"a{i}"), ("r", f"b{i}")]
+    for j in range(n):
+        pairs.append(("a0", f"b{j}"))
+    for j in range(1, n + 1):
+        pairs.append((f"a{n}", f"b{j}"))
+    for i in range(1, n):
+        for j in range(n + 1):
+            if j != i:
+                pairs.append((f"a{i}", f"b{j}"))
+    return FinitePoset(points, pairs, name=f"G{n}")
+
+
+def ladder(kind: str, levels: int):
+    """The ladders R0, R1 and R2 from their cover pairs: each rail point under
+    the one a row up and under the opposite rail's point two rows up, R1's c0
+    over the second row, and R2's c_i over a_{i+1} and d_i over b_{i+1}."""
+    points = []
+    for i in range(levels):
+        points += [f"a{i}", f"b{i}"]
+    pairs = []
+    for i in range(levels - 1):
+        pairs += [(f"a{i + 1}", f"a{i}"), (f"b{i + 1}", f"b{i}")]
+    for i in range(2, levels):
+        pairs += [(f"a{i}", f"b{i - 2}"), (f"b{i}", f"a{i - 2}")]
+    if kind == "R1" and levels >= 2:
+        points.append("c0")
+        pairs += [("a1", "c0"), ("b1", "c0")]
+    elif kind == "R2":
+        for i in range(levels - 1):
+            points += [f"c{i}", f"d{i}"]
+            pairs += [(f"a{i + 1}", f"c{i}"), (f"b{i + 1}", f"d{i}")]
+    return FinitePoset(points, pairs, name=f"{kind}@{levels}")
 
 
 _ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")

@@ -51,6 +51,11 @@ def test_fan_tower_edges():
     assert F.leq("b1", "a0") and F.leq("b1", "c0") and not F.leq("b1", "b0")
     assert F.leq("c1", "b0") and F.leq("c1", "c0") and not F.leq("c1", "a0")
     assert all(F.leq("r", p) for p in F.points)
+    # two layers up, a point lies under the whole layer, not under two of it
+    F = make_delta0(2)
+    assert F.leq("a2", "a1") and F.leq("a2", "b1") and not F.leq("a2", "c1")
+    for p in ("a2", "b2", "c2"):
+        assert all(F.leq(p, q) for q in ("a0", "b0", "c0"))
 
 
 def test_fan_tower_rejects_negative():

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -14,7 +16,7 @@ from esakialab.poset_core import (
 )
 from esakialab.poset_core.poset import collapse
 
-from corpus import canonical_key, is_isomorphic
+from corpus import canonical_key, is_isomorphic, named_frames
 
 
 def random_poset(seed: int, max_points: int = 7) -> FinitePoset:
@@ -241,3 +243,20 @@ def test_every_point_sees_a_maximal(seed):
     P = random_poset(seed)
     for i in range(len(P)):
         assert P.m_mask(i)
+
+
+def test_copies_and_pickles_pass_closed_rows(monkeypatch, fork):
+    frames = named_frames() + [fork]
+    closes = []
+    close = FinitePoset._close
+
+    def counted(*args):
+        closes.append(args)
+        return close(*args)
+
+    monkeypatch.setattr(FinitePoset, "_close", counted)
+    for P in frames:
+        for Q in (copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
+            assert Q == P and Q is not P
+            assert (Q.down, Q.name, Q.maximal_mask) == (P.down, P.name, P.maximal_mask)
+    assert not closes

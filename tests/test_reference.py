@@ -2,6 +2,7 @@
 import math
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 import reference
@@ -379,6 +380,18 @@ def test_row_built_posets_match_the_label_constructor(corpus7):
                 _assert_label_constructor_agrees(apply_reduction(P, kind, x, y)[0])
                 reductions += 1
     assert len(corpus7) == 2450 and reductions == 539
+
+
+def test_frame_families_match_their_label_pair_definitions():
+    cases = [(make_medvedev, reference.medvedev, n) for n in range(1, 6)]
+    cases += [(make_delta0, reference.delta0, n) for n in [*range(40), 200]]
+    cases += [(make_delta1, reference.delta1, n) for n in range(3, 40)]
+    for kind in ("R0", "R1", "R2"):
+        build, define = partial(make_ladder, kind), partial(reference.ladder, kind)
+        cases += [(build, define, n) for n in range(1, 30)]
+    for build, define, n in cases:
+        P, R = build(n), define(n)
+        assert (P.points, P.up, P.name) == (R.points, R.up, R.name), R.name
 
 
 def test_upsets_come_in_canonical_order(corpus7):
