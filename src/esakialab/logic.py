@@ -376,7 +376,7 @@ def eval_algebra(H, mu, f: Formula) -> int:
     return values[prog.roots[0]]
 
 
-def refutes(H, domain: Sequence[int], plan, budget: list, symmetry: Symmetry | None = None) -> bool:
+def refutes(H, domain: Sequence[int], plan, budget: list, symmetry=None) -> bool:
     """True iff some valuation of plan's atoms over domain makes each of its
     equations hold and keeps its target below top.
 
@@ -455,26 +455,32 @@ def _refutes_from(
 
 
 def _validity_plan(prog: Program) -> tuple:
-    """refutes' plan for prog's first formula: every atom in sorted order, no
-    equations, and the root as the target on the last level."""
+    """refutes' plan for prog's first formula: its atoms in first-occurrence
+    order (``prog.names``), no equations, and the root as the last level's target."""
     atom_node, steps, _ = stage_nodes(prog, prog.names)
     return len(prog.nodes), atom_node, steps, None, (len(atom_node), prog.roots[0])
 
 
 def _valid_over(H, prog: Program, regular: bool, force: bool, caller: str) -> bool:
-    # The sweep over the regulars or all elements of H. Every automorphism
-    # of H's base poset acts on both and commutes with every connective, the
-    # tensor included, so the sweep tries one valuation per orbit as far as
-    # H.domain_symmetry lists them. Its listing budget is 1/|domain| of the
-    # sweep, so a one-atom sweep lists nothing.
-    domain = H.regulars if regular else H.elements
-    count = len(domain) ** len(prog.names)
-    if not force:
-        charge(caller, f"{len(domain)}^{len(prog.names)}", count, "valuations")
-    symmetry = None
-    if len(prog.names) > 1:
-        symmetry = H.domain_symmetry(regular, count // len(domain))
-    return not refutes(H, domain, _validity_plan(prog), [math.inf], symmetry)
+    # The sweep over the regulars or all elements of each component algebra
+    # K of H: H is their product, valid iff every factor is. H has a tensor
+    # iff every K has one, so a tensor formula asks H's first, in any point
+    # order. Every automorphism of K's base acts on both domains and commutes
+    # with every connective, so the sweep tries one valuation per orbit as
+    # far as K.domain_symmetry lists them in 1/|domain| of the sweep's count.
+    parts = H.component_algebras()
+    if len(parts) > 1 and any(node[0] == OP_TENSOR for node in prog.nodes):
+        H.tensor_op(H.bot, H.bot)
+    plan, atoms = _validity_plan(prog), len(prog.names)
+    for K in parts:
+        domain = K.regulars if regular else K.elements
+        count = len(domain) ** atoms
+        if not force:
+            charge(caller, f"{len(domain)}^{atoms}", count, "valuations")
+        symmetry = K.domain_symmetry(regular, count // len(domain)) if atoms > 1 else None
+        if refutes(K, domain, plan, [math.inf], symmetry):
+            return False
+    return True
 
 
 def is_valid(H, f: Formula, force: bool = False) -> bool:
@@ -483,14 +489,8 @@ def is_valid(H, f: Formula, force: bool = False) -> bool:
 
 
 def is_dna_valid(H, f: Formula, force: bool = False) -> bool:
-    """True iff f evaluates to 1 under every negative (regular-valued) valuation.
-
-    Validity is checked on each of H's component algebras; a product algebra
-    validates a formula iff every factor does.
-    """
-    prog = compile_formulas([f])
-    parts = H.component_algebras()
-    return all(_valid_over(K, prog, True, force, "is_dna_valid") for K in parts)
+    """True iff f evaluates to 1 under every negative (regular-valued) valuation."""
+    return _valid_over(H, compile_formulas([f]), True, force, "is_dna_valid")
 
 
 # -- team semantics ---------------------------------------------------------

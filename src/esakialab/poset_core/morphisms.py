@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..budget import charge, sweep_limit
-from .poset import FinitePoset, UnknownPointError, _bits, _renumbered, _top_down, collapse
+from .poset import FinitePoset, UnknownPointError, _bits, _renumbered, _top_down, _within, collapse
 
 
 class ReductionError(ValueError):
@@ -39,7 +39,8 @@ class PMorphism:
         return self.target.points[self.mapping[self.source.index(label)]]
 
     def image_mask(self, source_mask: int) -> int:
-        return _renumbered((source_mask,), [1 << q for q in self.mapping])[0]
+        """UnknownPointError for a mask with bits beyond the source."""
+        return _renumbered((_within(self.source, source_mask),), [1 << q for q in self.mapping])[0]
 
     def preimage_mask(self, target_mask: int) -> int:
         out = 0

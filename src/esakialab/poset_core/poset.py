@@ -278,29 +278,24 @@ class FinitePoset:
         return out
 
     def components(self) -> list[int]:
-        """Connected components of the comparability graph, as masks."""
-        n = len(self.points)
-        seen = 0
-        comps = []
-        for start in range(n):
-            if seen >> start & 1:
-                continue
-            comp = 0
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                if comp >> i & 1:
-                    continue
-                comp |= 1 << i
-                for j in _bits((self.up[i] | self.down[i]) & ~comp):
-                    stack.append(j)
-            seen |= comp
+        """Connected components of the comparability graph, as masks, by least point."""
+        up, down, comps, rest = self.up, self.down, [], self.full_mask
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                low = frontier & -frontier
+                i = low.bit_length() - 1
+                new = (up[i] | down[i]) & ~comp
+                comp |= new
+                frontier = frontier ^ low | new
+            rest ^= comp
             comps.append(comp)
         return comps
 
     def induced(self, mask: int) -> "FinitePoset":
-        """Subposet on the points of ``mask``, keeping label order."""
-        keep = list(_bits(mask))
+        """Subposet on the points of ``mask``, keeping label order;
+        UnknownPointError for a mask with bits beyond the poset."""
+        keep = list(_bits(_within(self, mask)))
         bit = [0] * len(self.points)
         for r, i in enumerate(keep):
             bit[i] = 1 << r

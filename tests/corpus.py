@@ -124,3 +124,11 @@ def named_frames() -> list[FinitePoset]:
     named += [make_delta0(n) for n in (1, 2, 3)] + [make_delta1(n) for n in (3, 4, 5)]
     named += [make_ladder(kind, n) for kind in ("R0", "R1", "R2") for n in (3, 4)]
     return named
+
+
+def side_by_side(*posets: FinitePoset) -> FinitePoset:
+    """The disjoint union, points in argument order, the k-th poset's labels
+    prefixed with k."""
+    points = [f"{k}{p}" for k, P in enumerate(posets) for p in P.points]
+    pairs = [(f"{k}{a}", f"{k}{b}") for k, P in enumerate(posets) for a, b in P.cover_pairs()]
+    return FinitePoset(points, pairs)

@@ -1,5 +1,9 @@
 import ast
 import dataclasses
+import importlib
+import inspect
+import pkgutil
+import typing
 from pathlib import Path
 
 import esakialab
@@ -54,3 +58,34 @@ def test_poset_core_imports_no_upper_layer():
             if upper.intersection(parts):
                 found.append((module.__name__, node.lineno))
     assert found == []
+
+
+def _annotated_objects():
+    # every function, class and method defined in the package's modules,
+    # properties and class- and static methods read through to their functions
+    for info in pkgutil.walk_packages(esakialab.__path__, "esakialab."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield obj
+            elif inspect.isclass(obj):
+                yield obj
+                for member in vars(obj).values():
+                    member = getattr(member, "fget", getattr(member, "__func__", member))
+                    if inspect.isfunction(member):
+                        yield member
+
+
+def test_every_annotation_resolves():
+    unresolved = []
+    checked = 0
+    for obj in _annotated_objects():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append((obj.__qualname__, str(exc)))
+        checked += 1
+    assert unresolved == []
+    assert checked > 300

@@ -24,6 +24,8 @@ from esakialab.poset_core import (
     strong_regularization,
 )
 
+from corpus import side_by_side
+
 
 @pytest.fixture()
 def written(tmp_path, p1, c2, fork, w3, diamond):
@@ -272,6 +274,17 @@ def test_validate_tensor_where_it_is_undefined(capsys, written):
         )
         assert code == 2 and one_error_line(out, err)
         assert "tensor" in err
+
+
+def test_validate_tensor_on_a_disjoint_union_in_either_point_order(capsys, tmp_path, c3):
+    # the 3-chain's algebra has no tensor, so M2 beside it has none, first or last
+    orders = (side_by_side(make_medvedev(2), c3), side_by_side(c3, make_medvedev(2)))
+    for k, P in enumerate(orders):
+        path = tmp_path / f"m2-c3-{k}.json"
+        path.write_text(P.to_json(), encoding="utf-8")
+        code, out, err = invoke(capsys, "validate", str(path), "--dna", "--formula", "p (+) q")
+        assert code == 2 and one_error_line(out, err)
+        assert err.startswith("error: tensor needs")
 
 
 def test_validate_sweep_guard_names_the_function(capsys, written, monkeypatch):

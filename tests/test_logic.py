@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esakialab.budget import sweep_limit
-from esakialab.heyting import dual_algebra
+from esakialab.heyting import TensorUndefinedError, dual_algebra
 from esakialab.logic import (
     And,
     Atom,
@@ -45,6 +45,8 @@ from esakialab.logic import (
     team_valid,
 )
 from esakialab.poset_core import FinitePoset, make_medvedev
+
+from corpus import side_by_side
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -147,6 +149,28 @@ def test_dna_validity_factors_through_components(c2, a2):
     f = parse("~~p -> p")
     assert is_dna_valid(dual_algebra(two_chains), f)
     assert not is_valid(dual_algebra(two_chains), parse("p | ~p"))
+
+
+def test_tensor_on_a_disjoint_union_is_refused_in_either_point_order(c3):
+    # M2's algebra has a tensor, refuting p (+) q, and the 3-chain's has
+    # none, so their product has none: the component met first decides nothing
+    f = parse("p (+) q")
+    assert not is_dna_valid(dual_algebra(make_medvedev(2)), f)
+    for P in (side_by_side(make_medvedev(2), c3), side_by_side(c3, make_medvedev(2))):
+        H = dual_algebra(P)
+        for check in (is_valid, is_dna_valid):
+            with pytest.raises(TensorUndefinedError, match="^tensor needs"):
+                check(H, f)
+
+
+def test_validity_sweeps_each_component_algebra(monkeypatch):
+    # at the default budget: the whole algebras would take 4096^2 and 361^3
+    # valuations, the components 2^2 each and 19^3 each
+    monkeypatch.delenv("ESAKIA_MAX_SWEEP", raising=False)
+    antichain = FinitePoset([f"x{i}" for i in range(12)], [])
+    assert not is_valid(dual_algebra(antichain), parse("p -> q"))
+    m3 = make_medvedev(3)
+    assert is_valid(dual_algebra(side_by_side(m3, m3)), axiom_instances("KP"))
 
 
 def test_eval_algebra_value(c2):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from esakialab.poset_core import (
     FinitePoset,
     OrderConstructionError,
+    PMorphism,
     UnknownPointError,
     depth_width,
     maximal_of,
@@ -139,7 +140,10 @@ def test_closures_on_fixture(diamond):
 
 
 def test_closures_reject_bits_beyond_the_poset(fork):
-    for closure in (fork.up_mask_of, fork.down_mask_of, lambda m: maximal_of(fork, m)):
+    identity = PMorphism(fork, fork, tuple(range(len(fork))))
+    mask_methods = (fork.up_mask_of, fork.down_mask_of, lambda m: maximal_of(fork, m),
+                    fork.induced, identity.image_mask)
+    for closure in mask_methods:
         with pytest.raises(UnknownPointError, match="bits beyond the poset"):
             closure(1 << len(fork))
 

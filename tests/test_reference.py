@@ -109,8 +109,8 @@ def test_eval_algebra_matches_reference_on_small_corpus():
 
 
 def test_validity_matches_reference_sweep(corpus5):
-    # the reference sweeps the whole algebra's regulars, so is_dna_valid's
-    # split into component algebras is checked too
+    # the reference sweeps the whole algebra, its elements and its regulars,
+    # so both sweeps' split into component algebras is checked too
     plain = sample_formulas(["p"], 9, 20, seed=4) + sample_formulas(["p", "q"], 9, 20, seed=5)
     tensor = sample_formulas(["p", "q"], 7, 20, seed=6, with_tensor=True)
     verdicts = Counter()
@@ -132,8 +132,8 @@ def _plain_valid(H, f, regular: bool) -> bool:
 
 
 def test_orbit_sweep_matches_the_plain_sweep(corpus5):
-    # the plain sweep reads the whole algebra's regulars, so the orbit
-    # sweep on each component algebra is checked as well; four atoms only
+    # the plain sweep reads the whole algebra, so the orbit sweep on each
+    # component algebra is checked as well; four atoms only
     # where the plain sweep has at most 16^4 valuations
     two = sample_formulas(["p", "q"], 9, 12, seed=41) + [
         parse("(p -> q) | (q -> p)"),
