@@ -25,9 +25,6 @@ from .heyting import (
     principal_upset_views,
 )
 from .logic import (
-    OP_AND,
-    OP_IMP,
-    OP_OR,
     And,
     Atom,
     Bot,
@@ -41,7 +38,7 @@ from .logic import (
     compile_formulas,
     format_formula,
     refutes,
-    stage_nodes,
+    stage_plan,
 )
 from .poset_core import FinitePoset
 from .poset_core.morphisms import _is_leq
@@ -157,15 +154,15 @@ def jankov_dna_formula(H: FiniteHeytingAlgebra, force: bool = False) -> JankovBu
     s = H.top & ~(1 << root)
     psi = _witness_terms(H, H.regulars)
 
-    # the operation table: (node, op, a, b, fn(a, b)) for meet, join, imp
+    # the operation table: (node, a, b, fn(a, b)) for meet, join, imp
     table = [
-        (node, op, a, b, fn(a, b))
-        for node, op, fn in ((And, OP_AND, H.meet), (Or, OP_OR, H.join), (Implies, OP_IMP, H.imp))
+        (node, a, b, fn(a, b))
+        for node, fn in ((And, H.meet), (Or, H.join), (Implies, H.imp))
         for a in H.elements
         for b in H.elements
     ]
     conjuncts = [Iff(psi[H.bot], Bot())]
-    conjuncts += [Iff(node(psi[a], psi[b]), psi[c]) for node, _, a, b, c in table]
+    conjuncts += [Iff(node(psi[a], psi[b]), psi[c]) for node, a, b, c in table]
     alpha = big_and(conjuncts)
     chi = Implies(alpha, psi[s])
     return JankovBundle(
@@ -194,15 +191,11 @@ def _search_plan(
     # come first so the psi_s != top condition prunes early
     s_names = atoms(psi[s])
     order = s_names + tuple(sorted(set(prog.names) - set(s_names)))
-    atom_node, steps, level = stage_nodes(prog, order)
     *roots, bot = prog.roots
     node = dict(zip(H.elements, roots))
-    eqs = [(OP_AND, node[H.bot], node[H.bot], bot)]  # psi_bot & psi_bot = bot
-    eqs += [(op, node[a], node[b], node[c]) for _, op, a, b, c in table]
-    equations: list[list[tuple[int, int, int, int]]] = [[] for _ in steps]
-    for eq in eqs:
-        equations[max(level[i] for i in eq[1:])].append(eq)
-    return len(prog.nodes), atom_node, steps, equations, (level[node[s]], node[s])
+    eqs = [(And, node[H.bot], node[H.bot], bot)]  # psi_bot & psi_bot = bot
+    eqs += [(kind, node[a], node[b], node[c]) for kind, a, b, c in table]
+    return stage_plan(prog, order, node[s], eqs)
 
 
 def jankov_refutation_check(
@@ -232,8 +225,8 @@ def jankov_refutation_check(
     for K in principal_upset_views(Bpos, force):
         refuted = refutes(K, K.regulars, bundle.plan, budget)
         if budget[0] < 0:  # stopped on the node past the budget
-            expr = f"search over a root's {len(K.regulars)}^{len(bundle.atom_names)} valuations"
-            charge("jankov_refutation_check", expr, sweep_limit() + 1, "nodes")
+            charge("jankov_refutation_check", "search nodes over all roots",
+                   sweep_limit() + 1, "nodes")
         if refuted:
             break
     structural = _is_leq(bundle.dual, Bpos, math.inf) if force else is_leq(bundle.dual, Bpos)
@@ -301,13 +294,13 @@ def separating_formula(
             raise ValueError(f"{_called(P)} is not regular")
     # posets compare by points and order, so equal ones count once
     reps = list(dict.fromkeys(both))
-    for i, P in enumerate(reps):
-        for Q in reps[i + 1:]:
-            if is_leq(P, Q) or is_leq(Q, P):
-                raise ValueError(
-                    f"{_called(P)} and {_called(Q)} are comparable, "
-                    "the family is not an antichain"
-                )
+    pairs = antichain_verify(reps).comparable_pairs
+    if pairs:
+        i, j = min(tuple(sorted(pair)) for pair in pairs)
+        raise ValueError(
+            f"{_called(reps[i])} and {_called(reps[j])} are comparable, "
+            "the family is not an antichain"
+        )
     set_i, set_j = set(I), set(J)
     if set_i == set_j:
         return None

@@ -339,13 +339,18 @@ def sweep_nodes(H, steps, values: list[int]) -> None:
             values[i] = H.bot if op == OP_BOT else H.top
 
 
-def stage_nodes(prog: Program, order: Sequence[str]):
-    """Stage prog's nodes by an atom order: a node is at level d when the
-    first d atoms of order fix its value, so atom-free nodes are at level 0.
+def stage_plan(prog: Program, order: Sequence[str], target: int, equations=()) -> tuple:
+    """refutes' plan over prog's nodes, staged by an atom order: a node is at
+    level d when the first d atoms of order fix its value, so atom-free nodes
+    are at level 0, and valuing atom d takes a sweep from level d to d + 1.
 
-    Returns the node of each atom of order, the non-atom nodes of each level
-    as (node, op, left, right), and the level of every node. Valuing atom d
-    takes a sweep from level d to level d + 1.
+    The plan is (size, atom_node, steps, equations, (level, target)): the
+    node count; the node of each atom of order; the non-atom nodes of each
+    level as (node, op, left, right); per level, the equations (op, a, b, c)
+    that must read op(a, b) = c once it is swept, given as (And | Or |
+    Implies, a, b, c) over prog's nodes and kept in their given order at
+    the level that fixes all four (refutes checks none at level 0); and the
+    target node with its level.
     """
     rank = {name: d for d, name in enumerate(order)}
     atom_node = [0] * len(order)
@@ -358,13 +363,16 @@ def stage_nodes(prog: Program, order: Sequence[str]):
             continue
         level.append(max(level[a], level[b]) if op >= OP_AND else 0)
         steps[level[i]].append((i, op, a, b))
-    return atom_node, steps, level
+    eqs: list[list[tuple[int, int, int, int]]] = [[] for _ in steps]
+    for kind, *nodes in equations:
+        eqs[max(level[i] for i in nodes)].append((_OPS[kind], *nodes))
+    return len(prog.nodes), atom_node, steps, eqs, (level[target], target)
 
 
 def eval_algebra(H, mu, f: Formula) -> int:
     """Interpret f in H under the valuation mu (atom name to element)."""
     prog = compile_formulas([f])
-    atom_node, steps, _ = stage_nodes(prog, prog.names)
+    _, atom_node, steps, _, _ = stage_plan(prog, prog.names, prog.roots[0])
     values = [0] * len(prog.nodes)
     try:
         for name, i in zip(prog.names, atom_node):
@@ -380,12 +388,8 @@ def refutes(H, domain: Sequence[int], plan, budget: list, symmetry=None) -> bool
     """True iff some valuation of plan's atoms over domain makes each of its
     equations hold and keeps its target below top.
 
-    plan is (size, atom_node, steps, equations, target): the node count and
-    the staging of stage_nodes; None or, per level, the equations
-    (op, a, b, c) with op in OP_AND, OP_OR, OP_IMP that must read
-    op(a, b) = c once the level is swept (level 0, fixed by no atom, holds
-    none); and the target's (level, node). A branch dies at its first
-    failed check.
+    plan is built by stage_plan, which documents its layout. A branch dies
+    at its first failed check.
     Each value tried costs one unit of budget[0]; once it is spent the
     whole search stops and answers False with budget[0] at exactly -1, so
     a caller that finds budget[0] < 0 knows it reached no verdict.
@@ -421,7 +425,7 @@ def _refutes_from(
     # refuting valuation; this holds for any set of automorphisms.
     _, atom_node, steps, equations, (at, target) = plan
     atom, child = atom_node[level], level + 1
-    stage, eqs = steps[child], equations[child] if equations else ()
+    stage, eqs = steps[child], equations[child]
     aim = target if at == child else -1
     last, top, imp, tensor = child == len(atom_node), H.top, H.imp, H.tensor_op
     tried = [v for v in domain if not stab & symmetry.lowers[v]] if stab else domain
@@ -454,30 +458,24 @@ def _refutes_from(
     return False
 
 
-def _validity_plan(prog: Program) -> tuple:
-    """refutes' plan for prog's first formula: its atoms in first-occurrence
-    order (``prog.names``), no equations, and the root as the last level's target."""
-    atom_node, steps, _ = stage_nodes(prog, prog.names)
-    return len(prog.nodes), atom_node, steps, None, (len(atom_node), prog.roots[0])
-
-
 def _valid_over(H, prog: Program, regular: bool, force: bool, caller: str) -> bool:
     # The sweep over the regulars or all elements of each component algebra
-    # K of H: H is their product, valid iff every factor is. H has a tensor
-    # iff every K has one, so a tensor formula asks H's first, in any point
-    # order. Every automorphism of K's base acts on both domains and commutes
-    # with every connective, so the sweep tries one valuation per orbit as
-    # far as K.domain_symmetry lists them in 1/|domain| of the sweep's count.
+    # K of H: H is their product, valid iff every factor is. The sweeps are
+    # charged once, as the sum of their counts. H has a tensor iff every K
+    # has one, so a tensor formula asks H's first, in any point order. Every
+    # automorphism of K's base acts on both domains and commutes with every
+    # connective, so the sweep tries one valuation per orbit as far as
+    # K.domain_symmetry lists them in 1/|domain| of K's own count.
     parts = H.component_algebras()
     if len(parts) > 1 and any(node[0] == OP_TENSOR for node in prog.nodes):
         H.tensor_op(H.bot, H.bot)
-    plan, atoms = _validity_plan(prog), len(prog.names)
-    for K in parts:
-        domain = K.regulars if regular else K.elements
-        count = len(domain) ** atoms
-        if not force:
-            charge(caller, f"{len(domain)}^{atoms}", count, "valuations")
-        symmetry = K.domain_symmetry(regular, count // len(domain)) if atoms > 1 else None
+    plan, atoms = stage_plan(prog, prog.names, prog.roots[0]), len(prog.names)
+    domains = [K.regulars if regular else K.elements for K in parts]
+    if not force:
+        expr = " + ".join([f"{len(domain)}^{atoms}" for domain in domains])
+        charge(caller, expr, sum([len(domain) ** atoms for domain in domains]), "valuations")
+    for K, domain in zip(parts, domains):
+        symmetry = K.domain_symmetry(regular, len(domain) ** (atoms - 1)) if atoms > 1 else None
         if refutes(K, domain, plan, [math.inf], symmetry):
             return False
     return True
@@ -671,9 +669,11 @@ def axiom_instances(name: str, **params) -> Formula:
         return Implies(Implies(Neg(p), big_or(negs)), out)
     if name == "dep":
         premises = [Atom(a) for a in params.get("premises", ())]
-        target = Atom(params["target"])
         if not premises:
             raise ValueError("dep needs at least one premise atom")
+        if "target" not in params:
+            raise ValueError("dep needs a target atom")
+        target = Atom(params["target"])
         ant = big_and([Or(a, Neg(a)) for a in premises])
         return Implies(ant, Or(target, Neg(target)))
     raise ValueError(f"unknown axiom name {name!r}")

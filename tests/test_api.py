@@ -7,7 +7,7 @@ import typing
 from pathlib import Path
 
 import esakialab
-from esakialab import heyting, logic, poset_core, regularity
+from esakialab import heyting, jankov, logic, poset_core, regularity
 from esakialab.poset_core import FinitePoset, frames, morphisms, poset
 from esakialab.regularity import MorphismRegularityReport
 
@@ -26,7 +26,7 @@ REMOVED = {
     poset: ("PointSet", "immediate_successors", "upset_closure", "downset_closure"),
     morphisms: ("enumerate_surjective_p_morphisms", "validate_p_morphism"),
     heyting: ("regular_elements", "BooleanCore", "SweepGuardError"),
-    logic: ("NegativeValuation", "sweep_limit", "Symmetry"),
+    logic: ("NegativeValuation", "sweep_limit", "Symmetry", "stage_nodes"),
     regularity: ("validate_p_morphism",),
     FinitePoset: ("covers_mask",),
 }
@@ -58,6 +58,18 @@ def test_poset_core_imports_no_upper_layer():
             if upper.intersection(parts):
                 found.append((module.__name__, node.lineno))
     assert found == []
+
+
+def test_the_refutation_plan_format_stays_in_logic():
+    # jankov hands its equations to logic.stage_plan as connectives: it
+    # spells no opcode and stages no node itself
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(Path(jankov.__file__).read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "logic"
+        for alias in node.names
+    }
+    assert [name for name in imported if name.startswith(("OP_", "stage_", "sweep_"))] == ["stage_plan"]
 
 
 def _annotated_objects():

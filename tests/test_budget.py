@@ -12,15 +12,18 @@ from esakialab.heyting import (
     principal_upset_views,
 )
 from esakialab.jankov import jankov_dna_formula, jankov_refutation_check
-from esakialab.logic import is_dna_valid, is_valid, parse
+from esakialab.logic import axiom_instances, is_dna_valid, is_valid, parse
 from esakialab.poset_core import (
     FinitePoset,
     iter_surjective_p_morphisms,
     make_delta0,
     make_delta1,
     make_ladder,
+    make_medvedev,
 )
 from esakialab.regularity import rank_table
+
+from corpus import side_by_side
 
 # the one message of every ESAKIA_MAX_SWEEP refusal
 SHAPE = re.compile(
@@ -52,6 +55,13 @@ def _jankov_sweep(fork, c2):
     return lambda: jankov_refutation_check(c2, bundle)
 
 
+def _kp_on_two_m3s(check):
+    # the algebra of two disjoint M3s is built under the default budget, so
+    # that upsets does not refuse first; each factor has 19 elements, 8 regulars
+    H = dual_algebra(side_by_side(make_medvedev(3), make_medvedev(3)))
+    return lambda: check(H, axiom_instances("KP"))
+
+
 FOUR_ATOMS = parse("p & q -> r | s")
 
 # layer, budget, and a maker run under the default budget that returns the
@@ -60,6 +70,9 @@ CASES = [
     # C2's algebra: 3 elements, 2 regulars
     ("is_valid", 26, lambda fx: lambda: is_valid(dual_algebra(fx("c2")), parse("p | q -> r"))),
     ("is_dna_valid", 15, lambda fx: lambda: is_dna_valid(dual_algebra(fx("c2")), FOUR_ATOMS)),
+    # a split sweep is charged once: 19^3 + 19^3 = 13718 and 8^3 + 8^3 = 1024
+    ("is_valid", 10000, lambda fx: _kp_on_two_m3s(is_valid)),
+    ("is_dna_valid", 1000, lambda fx: _kp_on_two_m3s(is_dna_valid)),
     ("close_under", 211, lambda fx: lambda: close_under(H := dual_algebra(fx("n6")), H.regulars)),
     ("generated_subalgebra", 31, lambda fx: _members_of_a_closed_level()),
     ("rank_table", 18, lambda fx: _rank_table_of_a_closed_algebra(fx("n6"))),
@@ -100,6 +113,19 @@ def test_every_charge_refuses_in_one_shape(layer, limit, make, request, monkeypa
     assert shape is not None, str(caught.value)
     assert shape[1] == layer
     assert int(shape[2]) > int(shape[3]) == limit
+
+
+@pytest.mark.parametrize("make, limit, message", [
+    (lambda fx: _jankov_sweep(fx("fork"), fx("c2")), 4,
+     "jankov_refutation_check: search nodes over all roots = 5 nodes"),
+    (lambda fx: _kp_on_two_m3s(is_valid), 13717, "is_valid: 19^3 + 19^3 = 13718 valuations"),
+], ids=["jankov_refutation_check", "is_valid"])
+def test_refusals_name_what_they_count(make, limit, message, request, monkeypatch):
+    call = make(request.getfixturevalue)
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", str(limit))
+    with pytest.raises(SweepGuardError) as caught:
+        call()
+    assert str(caught.value) == f"{message}, more than the budget of {limit} (ESAKIA_MAX_SWEEP)"
 
 
 def test_forced_sweeps_never_read_the_budget(c2, fork, w3, monkeypatch):

@@ -24,7 +24,6 @@ from esakialab.logic import (
     Tensor,
     Top,
     UnboundAtomError,
-    _validity_plan,
     atoms,
     axiom_instances,
     compile_formulas,
@@ -41,6 +40,7 @@ from esakialab.logic import (
     parse,
     refutes,
     sample_formulas,
+    stage_plan,
     team_eval,
     team_valid,
 )
@@ -170,7 +170,11 @@ def test_validity_sweeps_each_component_algebra(monkeypatch):
     antichain = FinitePoset([f"x{i}" for i in range(12)], [])
     assert not is_valid(dual_algebra(antichain), parse("p -> q"))
     m3 = make_medvedev(3)
-    assert is_valid(dual_algebra(side_by_side(m3, m3)), axiom_instances("KP"))
+    H = dual_algebra(side_by_side(m3, m3))
+    assert is_valid(H, axiom_instances("KP"))
+    # the two sweeps are charged once, as 19^3 + 19^3
+    monkeypatch.setenv("ESAKIA_MAX_SWEEP", "13718")
+    assert is_valid(H, axiom_instances("KP"))
 
 
 def test_eval_algebra_value(c2):
@@ -217,7 +221,8 @@ def test_nd3_on_m4_regulars_sweeps_one_valuation_per_orbit():
     # atoms by regulars is a 4 x 4 0/1 matrix, one column per maximal
     # point: its orbits are the multisets of 4 columns, C(19, 4) = 3,876
     H = dual_algebra(make_medvedev(4))
-    plan = _validity_plan(compile_formulas([axiom_instances("ND", k=3)]))
+    prog = compile_formulas([axiom_instances("ND", k=3)])
+    plan = stage_plan(prog, prog.names, prog.roots[0])
     symmetry = H.domain_symmetry(True, 16 ** 3)
     leaves = []
     for sym in (None, symmetry):
@@ -438,6 +443,8 @@ def test_axiom_instances_errors():
         axiom_instances("ND", k=1)
     with pytest.raises(ValueError):
         axiom_instances("dep", premises=(), target="r")
+    with pytest.raises(ValueError, match="^dep needs a target atom$"):
+        axiom_instances("dep", premises=["p"])
     with pytest.raises(ValueError):
         axiom_instances("glivenko")
 

@@ -22,7 +22,6 @@ from esakialab.logic import (
     FormulaSyntaxError,
     Team,
     _lex,
-    _validity_plan,
     atoms,
     compile_formulas,
     dnf_inquisitive,
@@ -35,6 +34,7 @@ from esakialab.logic import (
     parse,
     refutes,
     sample_formulas,
+    stage_plan,
     team_eval,
     team_valid,
 )
@@ -128,7 +128,7 @@ def test_validity_matches_reference_sweep(corpus5):
 def _plain_valid(H, f, regular: bool) -> bool:
     prog = compile_formulas([f])
     domain = H.regulars if regular else H.elements
-    return not refutes(H, domain, _validity_plan(prog), [math.inf])
+    return not refutes(H, domain, stage_plan(prog, prog.names, prog.roots[0]), [math.inf])
 
 
 def test_orbit_sweep_matches_the_plain_sweep(corpus5):
@@ -174,7 +174,8 @@ def _leaves(H, domain, target: str, symmetry):
     reached, as index triples: each leaf values r -> target, then q -> .,
     then p -> ., so imp's left arguments give r, q, p in turn."""
     logged = _LoggedImp(H)
-    plan = _validity_plan(compile_formulas([parse(f"p -> q -> r -> {target}")]))
+    prog = compile_formulas([parse(f"p -> q -> r -> {target}")])
+    plan = stage_plan(prog, prog.names, prog.roots[0])
     found = refutes(logged, domain, plan, [math.inf], symmetry)
     place = {u: i for i, u in enumerate(domain)}
     lefts = [place[u] for u in logged.lefts]
